@@ -125,6 +125,26 @@ class DynamicCollectionT2 {
     return id;
   }
 
+  /// Cold-start bulk load: mints ids in batch order (the ids a loop of
+  /// Insert would mint) and builds the batch once through RebaseInto, the
+  /// LoadSnapshot path, instead of the per-document level cascade and its
+  /// doubling global rebuilds.
+  std::vector<DocId> InsertBulk(std::vector<std::vector<Symbol>> batch) {
+    DYNDEX_CHECK(num_docs() == 0 && live_symbols() == 0);
+    std::vector<DocId> ids;
+    if (batch.empty()) return ids;
+    std::vector<Document> docs;
+    ids.reserve(batch.size());
+    docs.reserve(batch.size());
+    for (std::vector<Symbol>& symbols : batch) {
+      DYNDEX_CHECK(!symbols.empty());
+      ids.push_back(next_id_);
+      docs.push_back({next_id_++, std::move(symbols)});
+    }
+    RebaseInto(std::move(docs));
+    return ids;
+  }
+
   bool Erase(DocId id) {
     AdvancePending();
     const Holder* found = where_.Find(id);
@@ -346,8 +366,6 @@ class DynamicCollectionT2 {
     add(top_temp_);
     for (const auto& t : tops_) add(t);
     DYNDEX_CHECK(docs == where_.size());
-    // At most one top purge at a time (Dietz-Sleator schedule).
-    DYNDEX_CHECK(!(top_purge_.active && top_pending_.active && false));
   }
 
   // --- persistence ---------------------------------------------------------

@@ -69,9 +69,11 @@ class DynamicIndex {
   virtual DocId Insert(std::vector<Symbol> symbols) = 0;
   virtual bool Erase(DocId id) = 0;
 
-  /// Inserts a batch of documents. Backends with a bulk constructor (the
-  /// baseline dynamic FM-index on a cold start) build once via SA-IS instead
-  /// of per-symbol dynamic-rank insertion; the default loops over Insert.
+  /// Inserts a batch of documents. Backends with a cold-start bulk path
+  /// build once instead of inserting document by document: the baseline
+  /// dynamic FM-index via one SA-IS pass instead of per-symbol dynamic-rank
+  /// insertion, Transformation 2 via one static build (RebaseInto) instead
+  /// of its level cascade. The default loops over Insert.
   virtual std::vector<DocId> InsertBulk(std::vector<std::vector<Symbol>> docs) {
     std::vector<DocId> ids;
     ids.reserve(docs.size());
@@ -139,7 +141,7 @@ class CollectionIndex final : public DynamicIndex {
       for (const auto& doc : docs) all_storable &= Storable(doc);
       if (all_storable && coll_.num_docs() == 0 &&
           coll_.live_symbols() == 0) {
-        return coll_.InsertBulk(docs);
+        return coll_.InsertBulk(std::move(docs));
       }
     }
     return DynamicIndex::InsertBulk(std::move(docs));

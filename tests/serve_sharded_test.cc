@@ -129,7 +129,9 @@ TEST(ServeSharded, DocDifferentialChurnT1Backend) {
 }
 
 // A cold bulk batch bigger than any shard's C0 exercises the per-shard bulk
-// build path end to end and the global-id scatter.
+// build path end to end and the global-id scatter: 64 x 40 symbols give
+// each of four shards 640 symbols, ten times min_c0, so T2 shards build a
+// top collection rather than fill C0.
 TEST(ServeSharded, ColdBulkBatchSpreadsAndAnswers) {
   Rng rng(424242);
   std::vector<std::vector<Symbol>> docs;
@@ -137,19 +139,27 @@ TEST(ServeSharded, ColdBulkBatchSpreadsAndAnswers) {
   for (int i = 0; i < 64; ++i) {
     docs.push_back(UniformText(rng, 40, kSigma));
   }
-  for (uint32_t shards : {1u, 4u}) {
-    ShardedIndex index(shards, Backend::kBaseline, SmallDocOptions());
-    std::vector<DocId> ids = index.InsertBatch(docs);
-    ASSERT_EQ(ids.size(), docs.size());
-    for (uint64_t i = 0; i < docs.size(); ++i) {
-      ASSERT_EQ(ids[i], i);  // dense sequential minting from cold start
-      model.Insert(ids[i], docs[i]);
+  for (Backend backend : {Backend::kBaseline, Backend::kT2}) {
+    for (uint32_t shards : {1u, 4u}) {
+      SCOPED_TRACE(std::string("backend=") + BackendName(backend) +
+                   " shards=" + std::to_string(shards));
+      ShardedIndex index(shards, backend, SmallDocOptions());
+      std::vector<DocId> ids = index.InsertBatch(docs);
+      ASSERT_EQ(ids.size(), docs.size());
+      for (uint64_t i = 0; i < docs.size(); ++i) {
+        ASSERT_EQ(ids[i], i);  // dense sequential minting from cold start
+        model.Insert(ids[i], docs[i]);
+      }
+      index.CheckInvariants();
+      for (int q = 0; q < 8; ++q) {
+        auto pattern = SamplePattern(rng, docs, rng.Range(1, 5), kSigma);
+        auto got = index.Locate(pattern);
+        std::sort(got.begin(), got.end());
+        ASSERT_EQ(got, model.Find(pattern));
+        ASSERT_EQ(index.Count(pattern), got.size());
+      }
+      model = ReferenceModel();
     }
-    auto pattern = SamplePattern(rng, docs, 3, kSigma);
-    auto got = index.Locate(pattern);
-    std::sort(got.begin(), got.end());
-    ASSERT_EQ(got, model.Find(pattern)) << "shards=" << shards;
-    model = ReferenceModel();
   }
 }
 

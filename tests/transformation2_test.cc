@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "gen/text_gen.h"
@@ -42,10 +43,11 @@ T2Options SmallT2(RebuildMode mode, bool counting = false) {
   return opt;
 }
 
+// Churns `coll`, which must already hold exactly the documents of `model`.
 template <typename Coll>
 void RunChurn(Coll& coll, uint64_t seed, int steps, uint32_t sigma,
-              uint64_t max_doc_len, bool check_queries_every_step) {
-  std::map<DocId, std::vector<Symbol>> model;
+              uint64_t max_doc_len, bool check_queries_every_step,
+              std::map<DocId, std::vector<Symbol>> model = {}) {
   Rng rng(seed);
   for (int step = 0; step < steps; ++step) {
     uint64_t op = rng.Below(10);
@@ -206,6 +208,155 @@ TEST(T2Threaded, DeletionsDuringBackgroundBuildAreReplayed) {
     std::sort(got.begin(), got.end());
     ASSERT_EQ(got, NaiveFind(model, p));
   }
+}
+
+// --- cold bulk load vs one Insert per document -------------------------------
+
+using Model = std::map<DocId, std::vector<Symbol>>;
+using FmT2 = DynamicCollectionT2<FmIndex>;
+
+constexpr uint32_t kTwinSigma = 4;
+
+std::vector<std::vector<Symbol>> FixedLengthBatch(Rng& rng, int docs,
+                                                  uint64_t len) {
+  std::vector<std::vector<Symbol>> batch;
+  for (int i = 0; i < docs; ++i) {
+    batch.push_back(UniformText(rng, len, kTwinSigma));
+  }
+  return batch;
+}
+
+/// Both twins serve exactly `model`: per-document lengths and slices, and
+/// Count/Find on patterns sampled from the documents and drawn uniformly.
+void ExpectTwinsServe(const FmT2& bulk, const FmT2& loop, const Model& model,
+                      Rng& rng) {
+  ASSERT_EQ(bulk.num_docs(), model.size());
+  ASSERT_EQ(loop.num_docs(), model.size());
+  ASSERT_EQ(bulk.live_symbols(), loop.live_symbols());
+  std::vector<std::vector<Symbol>> live;
+  for (const auto& [id, doc] : model) {
+    live.push_back(doc);
+    ASSERT_EQ(bulk.DocLenOf(id), doc.size()) << "id " << id;
+    ASSERT_EQ(loop.DocLenOf(id), doc.size()) << "id " << id;
+    uint64_t from = rng.Below(doc.size());
+    uint64_t len = rng.Range(1, doc.size() - from);
+    auto begin = doc.begin() + static_cast<int64_t>(from);
+    std::vector<Symbol> expect(begin, begin + static_cast<int64_t>(len));
+    ASSERT_EQ(bulk.Extract(id, from, len), expect) << "id " << id;
+    ASSERT_EQ(loop.Extract(id, from, len), expect) << "id " << id;
+  }
+  for (int q = 0; q < 40; ++q) {
+    uint64_t plen = rng.Range(1, 6);
+    auto p = q % 2 == 0 && !live.empty()
+                 ? SamplePattern(rng, live, plen, kTwinSigma)
+                 : UniformText(rng, plen, kTwinSigma);
+    auto expect = NaiveFind(model, p);
+    auto got_bulk = bulk.Find(p);
+    auto got_loop = loop.Find(p);
+    std::sort(got_bulk.begin(), got_bulk.end());
+    std::sort(got_loop.begin(), got_loop.end());
+    ASSERT_EQ(got_bulk, expect) << "query " << q;
+    ASSERT_EQ(got_loop, expect) << "query " << q;
+    ASSERT_EQ(bulk.Count(p), expect.size()) << "query " << q;
+    ASSERT_EQ(loop.Count(p), expect.size()) << "query " << q;
+  }
+}
+
+/// Loads `batch` into one collection with InsertBulk and into a twin with one
+/// Insert per document, checks both serve the same ids and answers, then runs
+/// the same seeded churn on both.
+void RunBulkTwin(RebuildMode mode,
+                 const std::vector<std::vector<Symbol>>& batch, uint64_t seed) {
+  SCOPED_TRACE("docs=" + std::to_string(batch.size()) + " seed=" +
+               std::to_string(seed));
+  const T2Options opt = SmallT2(mode);
+  FmT2 bulk(opt);
+  FmT2 loop(opt);
+  std::vector<DocId> bulk_ids = bulk.InsertBulk(batch);
+  std::vector<DocId> loop_ids;
+  uint64_t total = 0;
+  for (const auto& doc : batch) {
+    loop_ids.push_back(loop.Insert(doc));
+    total += doc.size();
+  }
+  ASSERT_EQ(bulk_ids, loop_ids);
+  loop.ForceAllPending();
+  bulk.CheckInvariants();
+  loop.CheckInvariants();
+  // Batches here stay far below the size at which C0's capacity grows past
+  // min_c0, so min_c0 decides between RebaseInto's two branches.
+  if (total <= opt.min_c0) {
+    EXPECT_EQ(bulk.num_tops(), 0u);  // the batch lives in C0
+  } else {
+    // One top collection and nothing left in the C0 suffix tree.
+    EXPECT_EQ(bulk.num_tops(), 1u);
+    EXPECT_EQ(bulk.Space().uncompressed, FmT2(opt).Space().uncompressed);
+  }
+  Model model;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    model.emplace(bulk_ids[i], batch[i]);
+  }
+  Rng rng(seed);
+  ExpectTwinsServe(bulk, loop, model, rng);
+  RunChurn(bulk, seed, 300, kTwinSigma, 60, false, model);
+  RunChurn(loop, seed, 300, kTwinSigma, 60, false, model);
+}
+
+void RunBulkTwinSizes(RebuildMode mode) {
+  Rng rng(2100);
+  // Fits C0: 48 <= min_c0 = 64 symbols.
+  RunBulkTwin(mode, FixedLengthBatch(rng, 4, 12), 2101);
+  // 2^5 * min_c0 symbols of fixed-length documents, the benchmark's shape.
+  RunBulkTwin(mode, FixedLengthBatch(rng, 64, 32), 2102);
+  // Mixed lengths with an odd total.
+  std::vector<std::vector<Symbol>> odd;
+  uint64_t total = 0;
+  for (int i = 0; i < 53; ++i) {
+    odd.push_back(UniformText(rng, rng.Range(1, 60), kTwinSigma));
+    total += odd.back().size();
+  }
+  if (total % 2 == 0) odd.push_back(UniformText(rng, 1, kTwinSigma));
+  RunBulkTwin(mode, odd, 2103);
+  // The empty batch mints nothing; the churn then starts from empty.
+  RunBulkTwin(mode, {}, 2104);
+}
+
+TEST(T2Bulk, TwinOfInsertLoopSync) {
+  RunBulkTwinSizes(RebuildMode::kSynchronous);
+}
+
+TEST(T2Bulk, TwinOfInsertLoopThreaded) {
+  RunBulkTwinSizes(RebuildMode::kThreaded);
+}
+
+TEST(T2Bulk, EmptiedCollectionLoadsLikeAFreshOne) {
+  // Every document erased, but too few symbols ever lived for the shrink
+  // rebase to run, so dead documents may linger in C0 and the tops: the
+  // bulk load must serve exactly the batch, with the ids the loop mints.
+  Rng rng(2106);
+  FmT2 bulk(SmallT2(RebuildMode::kSynchronous));
+  FmT2 loop(SmallT2(RebuildMode::kSynchronous));
+  for (FmT2* coll : {&bulk, &loop}) {
+    std::vector<DocId> ids;
+    Rng fill(2107);
+    for (int i = 0; i < 5; ++i) {
+      ids.push_back(coll->Insert(UniformText(fill, 20, kTwinSigma)));
+    }
+    for (DocId id : ids) ASSERT_TRUE(coll->Erase(id));
+    ASSERT_EQ(coll->live_symbols(), 0u);
+  }
+  auto batch = FixedLengthBatch(rng, 40, 25);
+  std::vector<DocId> bulk_ids = bulk.InsertBulk(batch);
+  std::vector<DocId> loop_ids;
+  for (const auto& doc : batch) loop_ids.push_back(loop.Insert(doc));
+  ASSERT_EQ(bulk_ids, loop_ids);
+  bulk.CheckInvariants();
+  Model model;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    model.emplace(bulk_ids[i], batch[i]);
+  }
+  ExpectTwinsServe(bulk, loop, model, rng);
+  RunChurn(bulk, 2108, 300, kTwinSigma, 60, false, model);
 }
 
 TEST(T2Sync, EraseUnknownAndDoubleErase) {
