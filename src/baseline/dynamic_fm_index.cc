@@ -105,8 +105,6 @@ void DynamicFmIndex::BulkLoad(const std::vector<std::vector<Symbol>>& docs,
   // is exactly the one incremental insertion produces.
   std::vector<uint32_t> text;
   text.reserve(n_rows + 1);
-  std::vector<uint64_t> doc_of(n_rows);  // position -> local doc index
-  std::vector<uint64_t> off_of(n_rows);  // position -> offset (len at sep)
   std::vector<uint32_t> seps(docs.size());
   std::vector<uint64_t> start(docs.size());
   for (uint64_t d = 0; d < docs.size(); ++d) {
@@ -114,45 +112,51 @@ void DynamicFmIndex::BulkLoad(const std::vector<std::vector<Symbol>>& docs,
     seps[d] = free_seps_.back();
     free_seps_.pop_back();
     start[d] = text.size();
-    for (uint64_t k = 0; k < docs[d].size(); ++k) {
-      doc_of[text.size()] = d;
-      off_of[text.size()] = k;
-      text.push_back(Internal(docs[d][k]) + 1);
-    }
-    doc_of[text.size()] = d;
-    off_of[text.size()] = docs[d].size();
+    for (Symbol s : docs[d]) text.push_back(Internal(s) + 1);
     text.push_back(seps[d] + 1);
     docs_[id] = {seps[d], docs[d].size()};
     live_symbols_ += docs[d].size();
   }
   text.push_back(0);
   uint32_t sigma = opt_.max_docs + (opt_.max_symbol - kMinSymbol) + 1;
-  std::vector<uint64_t> sa = BuildSuffixArray(text, sigma);
 
-  // Emit rows in suffix order, skipping the sentinel suffix. The BWT char of
-  // a document's first-symbol row is its own separator (the per-document
-  // cyclic BWT the incremental walk maintains), not the concatenation's
-  // predecessor.
-  std::vector<uint32_t> bwt_syms;
-  bwt_syms.reserve(n_rows);
+  // Emit rows in suffix order, skipping the sentinel suffix, and overwrite
+  // the SA with them: row r's BWT symbol lands at r or r-1, already read.
+  // The BWT char of a document's first-symbol row is its own separator (the
+  // per-document cyclic BWT the incremental walk maintains), not the
+  // concatenation's predecessor.
   std::vector<uint64_t> sampled_words(CeilDiv(n_rows, 64), 0);
   std::vector<uint64_t> freq(sigma, 0);
-  uint64_t row = 0;
-  for (uint64_t r = 0; r < sa.size(); ++r) {
-    uint64_t p = sa[r];
-    if (p == n_rows) continue;  // sentinel suffix
-    uint64_t d = doc_of[p];
-    uint32_t sym = p == start[d] ? seps[d] : text[p - 1] - 1;
-    bwt_syms.push_back(sym);
-    ++freq[sym];
-    uint64_t off = off_of[p];
-    if (off % opt_.sample_rate == 0) {
-      sampled_words[row >> 6] |= 1ull << (row & 63);
-      samples_.push_back({ids[d], off});
+  std::vector<uint32_t> bwt_syms = WithSuffixArray(text, sigma, [&](auto sa) {
+    using Idx = typename decltype(sa)::value_type;
+    std::vector<Idx> doc_of(n_rows);  // position -> local doc index
+    std::vector<Idx> off_of(n_rows);  // position -> offset (len at sep)
+    for (uint64_t d = 0; d < docs.size(); ++d) {
+      for (uint64_t k = 0; k <= docs[d].size(); ++k) {
+        doc_of[start[d] + k] = static_cast<Idx>(d);
+        off_of[start[d] + k] = static_cast<Idx>(k);
+      }
     }
-    ++row;
-  }
-  DYNDEX_DCHECK(row == n_rows);
+    uint64_t row = 0;
+    for (uint64_t r = 0; r < sa.size(); ++r) {
+      uint64_t p = sa[r];
+      if (p == n_rows) continue;  // sentinel suffix
+      uint64_t d = doc_of[p];
+      uint32_t sym = p == start[d] ? seps[d] : text[p - 1] - 1;
+      sa[row] = sym;
+      ++freq[sym];
+      uint64_t off = off_of[p];
+      if (off % opt_.sample_rate == 0) {
+        sampled_words[row >> 6] |= 1ull << (row & 63);
+        samples_.push_back({ids[d], off});
+      }
+      ++row;
+    }
+    DYNDEX_DCHECK(row == n_rows);
+    sa.resize(n_rows);
+    return IntoSymbols(std::move(sa));
+  });
+  text = std::vector<uint32_t>();
   for (uint32_t sym = 0; sym + 1 < sigma; ++sym) {
     if (freq[sym] != 0) counts_.Add(sym, static_cast<int64_t>(freq[sym]));
   }

@@ -29,7 +29,7 @@ StaticRelation::StaticRelation(std::vector<Pair> pairs, uint32_t num_objects,
     ++bit;  // the 0 terminating object o's run
   }
   DYNDEX_CHECK(next == pairs.size());  // all objects within range
-  s_ = WaveletTree(labels, num_labels == 0 ? 1 : num_labels);
+  s_ = WaveletTree(std::move(labels), num_labels == 0 ? 1 : num_labels);
   n_.Build(std::move(n));
 }
 

@@ -1,17 +1,19 @@
 #include "seq/wavelet_tree.h"
 
+#include <utility>
+
 #include "util/check.h"
 
 namespace dyndex {
 
-WaveletTree::WaveletTree(const std::vector<uint32_t>& data, uint32_t sigma) {
+WaveletTree::WaveletTree(std::vector<uint32_t> data, uint32_t sigma) {
   DYNDEX_CHECK(sigma >= 1);
   size_ = data.size();
   sigma_ = sigma;
   depth_ = CeilLog2(sigma);
   if (depth_ == 0) return;  // unary alphabet: answered arithmetically
   levels_.resize(depth_);
-  std::vector<uint32_t> cur = data;
+  std::vector<uint32_t> cur = std::move(data);
   std::vector<uint32_t> next(cur.size());
   std::vector<uint64_t> bounds{0, size_};
   for (uint32_t level = 0; level < depth_; ++level) {

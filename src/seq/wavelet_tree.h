@@ -22,8 +22,10 @@ class WaveletTree {
  public:
   WaveletTree() = default;
 
-  /// Builds over `data`; all values must be < sigma. O(n log sigma).
-  WaveletTree(const std::vector<uint32_t>& data, uint32_t sigma);
+  /// Builds over `data`; all values must be < sigma. O(n log sigma). `data`
+  /// is consumed as the first level's working buffer: move it in when the
+  /// caller is done with it.
+  WaveletTree(std::vector<uint32_t> data, uint32_t sigma);
 
   uint64_t size() const { return size_; }
   uint32_t sigma() const { return sigma_; }

@@ -27,7 +27,10 @@ bool FitsRemaining(const Decoder& dec, uint64_t count, uint64_t unit) {
 // --- WAL record codec ------------------------------------------------------
 
 std::string EncodeInsertBatch(const std::vector<std::vector<Symbol>>& docs) {
+  uint64_t size = 1 + 4;
+  for (const auto& doc : docs) size += 8 + 4 * doc.size();
   std::string out;
+  out.reserve(size);
   persist::PutU8(&out, static_cast<uint8_t>(WalOp::kInsertDocs));
   persist::PutU32(&out, static_cast<uint32_t>(docs.size()));
   for (const auto& doc : docs) {
@@ -171,7 +174,10 @@ persist::Status DecodeMeta(std::string_view data, SnapshotMeta* out) {
 }
 
 std::string EncodeDocs(const std::vector<Document>& docs) {
+  uint64_t size = 8;
+  for (const Document& doc : docs) size += 8 + 8 + 4 * doc.symbols.size();
   std::string out;
+  out.reserve(size);
   persist::PutU64(&out, docs.size());
   for (const Document& doc : docs) {
     persist::PutU64(&out, doc.id);

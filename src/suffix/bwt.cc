@@ -4,8 +4,9 @@
 
 namespace dyndex {
 
+template <typename Idx>
 std::vector<uint32_t> BwtFromSuffixArray(const std::vector<uint32_t>& text,
-                                         const std::vector<uint64_t>& sa) {
+                                         const std::vector<Idx>& sa) {
   uint64_t n = text.size();
   DYNDEX_CHECK(sa.size() == n);
   std::vector<uint32_t> bwt(n);
@@ -14,6 +15,11 @@ std::vector<uint32_t> BwtFromSuffixArray(const std::vector<uint32_t>& text,
   }
   return bwt;
 }
+
+template std::vector<uint32_t> BwtFromSuffixArray(const std::vector<uint32_t>&,
+                                                  const std::vector<uint32_t>&);
+template std::vector<uint32_t> BwtFromSuffixArray(const std::vector<uint32_t>&,
+                                                  const std::vector<uint64_t>&);
 
 std::vector<uint32_t> InverseBwt(const std::vector<uint32_t>& bwt,
                                  uint32_t sigma) {

@@ -9,8 +9,10 @@ namespace dyndex {
 
 /// BWT of `text` given its suffix array: bwt[i] = text[(sa[i]+n-1) mod n].
 /// The sentinel symbol (0, at text[n-1]) appears exactly once in the output.
+/// `Idx` is the SA entry type of BuildSuffixArray (uint32_t or uint64_t).
+template <typename Idx>
 std::vector<uint32_t> BwtFromSuffixArray(const std::vector<uint32_t>& text,
-                                         const std::vector<uint64_t>& sa);
+                                         const std::vector<Idx>& sa);
 
 /// Inverts a BWT produced over a 0-sentinel-terminated text; returns the
 /// original text (including the trailing sentinel). Used by tests.

@@ -1,34 +1,34 @@
 #include "suffix/sais.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "util/check.h"
 
 namespace dyndex {
 
 namespace {
 
-constexpr int64_t kEmpty = -1;
-
-// Generic SA-IS over a sequence `s` of length n with alphabet [0, K); the
-// last element must be the unique smallest ("sentinel") element.
-void SaIs(const int64_t* s, int64_t* sa, int64_t n, int64_t K) {
-  if (n == 1) {
-    sa[0] = 0;
-    return;
-  }
+// Generic SA-IS over a sequence `s` of length n >= 2 with alphabet [0, K);
+// the last element must be the unique smallest ("sentinel") element. `sa` is
+// the only O(n) buffer: the reduced problem is named and solved inside it.
+template <typename Idx, typename Sym>
+void SaIs(const Sym* s, Idx* sa, Idx n, Idx K) {
+  constexpr Idx kEmpty = std::numeric_limits<Idx>::max();
   // Classify suffixes: true = S-type, false = L-type.
   std::vector<bool> is_s(n);
   is_s[n - 1] = true;
-  for (int64_t i = n - 2; i >= 0; --i) {
+  for (Idx i = n - 1; i-- > 0;) {
     is_s[i] = s[i] < s[i + 1] || (s[i] == s[i + 1] && is_s[i + 1]);
   }
-  auto is_lms = [&](int64_t i) { return i > 0 && is_s[i] && !is_s[i - 1]; };
+  auto is_lms = [&](Idx i) { return i > 0 && is_s[i] && !is_s[i - 1]; };
 
-  std::vector<int64_t> bkt(K, 0);
+  std::vector<Idx> bkt(K);
   auto bucket_bounds = [&](bool ends) {
-    for (int64_t c = 0; c < K; ++c) bkt[c] = 0;
-    for (int64_t i = 0; i < n; ++i) ++bkt[s[i]];
-    int64_t sum = 0;
-    for (int64_t c = 0; c < K; ++c) {
+    std::fill(bkt.begin(), bkt.end(), Idx{0});
+    for (Idx i = 0; i < n; ++i) ++bkt[s[i]];
+    Idx sum = 0;
+    for (Idx c = 0; c < K; ++c) {
       sum += bkt[c];
       bkt[c] = ends ? sum : sum - bkt[c];
     }
@@ -37,83 +37,81 @@ void SaIs(const int64_t* s, int64_t* sa, int64_t n, int64_t K) {
   auto induce = [&]() {
     // Induce L-type suffixes left to right.
     bucket_bounds(/*ends=*/false);
-    for (int64_t i = 0; i < n; ++i) {
-      int64_t j = sa[i] - 1;
-      if (sa[i] != kEmpty && sa[i] > 0 && !is_s[j]) sa[bkt[s[j]]++] = j;
+    for (Idx i = 0; i < n; ++i) {
+      Idx j = sa[i];
+      if (j != kEmpty && j > 0 && !is_s[j - 1]) sa[bkt[s[j - 1]]++] = j - 1;
     }
     // Induce S-type suffixes right to left.
     bucket_bounds(/*ends=*/true);
-    for (int64_t i = n - 1; i >= 0; --i) {
-      int64_t j = sa[i] - 1;
-      if (sa[i] != kEmpty && sa[i] > 0 && is_s[j]) sa[--bkt[s[j]]] = j;
+    for (Idx i = n; i-- > 0;) {
+      Idx j = sa[i];
+      if (j != kEmpty && j > 0 && is_s[j - 1]) sa[--bkt[s[j - 1]]] = j - 1;
     }
   };
 
-  // Stage 1: place LMS suffixes at the ends of their buckets (arbitrary
-  // order), then induce.
-  for (int64_t i = 0; i < n; ++i) sa[i] = kEmpty;
+  // Stage 1: LMS suffixes at their bucket ends in any order, then induce.
+  std::fill(sa, sa + n, kEmpty);
   bucket_bounds(/*ends=*/true);
-  for (int64_t i = 1; i < n; ++i) {
+  for (Idx i = 1; i < n; ++i) {
     if (is_lms(i)) sa[--bkt[s[i]]] = i;
   }
   induce();
 
-  // Collect sorted LMS substrings.
-  std::vector<int64_t> lms_order;
-  lms_order.reserve(n / 2 + 1);
-  for (int64_t i = 0; i < n; ++i) {
-    if (sa[i] != kEmpty && is_lms(sa[i])) lms_order.push_back(sa[i]);
+  // Compact the sorted LMS substrings into sa[0, n_lms).
+  Idx n_lms = 0;
+  for (Idx i = 0; i < n; ++i) {
+    if (sa[i] != kEmpty && is_lms(sa[i])) sa[n_lms++] = sa[i];
   }
-  int64_t n_lms = static_cast<int64_t>(lms_order.size());
+  DYNDEX_DCHECK(2 * n_lms <= n);
 
-  // Name LMS substrings.
-  std::vector<int64_t> name_of(n, kEmpty);
-  int64_t names = 0;
-  int64_t prev = -1;
-  for (int64_t idx = 0; idx < n_lms; ++idx) {
-    int64_t cur = lms_order[idx];
-    bool differ = prev < 0;
-    if (!differ) {
-      // Compare LMS substrings starting at prev and cur.
-      for (int64_t d = 0;; ++d) {
-        if (s[prev + d] != s[cur + d] || is_s[prev + d] != is_s[cur + d]) {
-          differ = true;
-          break;
-        }
-        if (d > 0 && (is_lms(prev + d) || is_lms(cur + d))) {
-          differ = !(is_lms(prev + d) && is_lms(cur + d));
-          break;
-        }
+  // Name LMS substrings. LMS positions are at least 2 apart, so the name of
+  // the one at p fits in the free slot sa[n_lms + p/2].
+  std::fill(sa + n_lms, sa + n, kEmpty);
+  Idx names = 0;
+  Idx prev = kEmpty;
+  for (Idx idx = 0; idx < n_lms; ++idx) {
+    Idx cur = sa[idx];
+    bool differ = prev == kEmpty;
+    // Compare the LMS substrings starting at prev and cur.
+    for (Idx d = 0; !differ; ++d) {
+      differ = s[prev + d] != s[cur + d] || is_s[prev + d] != is_s[cur + d];
+      if (!differ && d > 0 && (is_lms(prev + d) || is_lms(cur + d))) {
+        differ = !(is_lms(prev + d) && is_lms(cur + d));
+        break;
       }
     }
-    if (differ) {
-      ++names;
-      prev = cur;
-    }
-    name_of[cur] = names - 1;
+    names += differ;
+    if (differ) prev = cur;
+    sa[n_lms + cur / 2] = names - 1;
   }
 
-  // Build the reduced problem: names of LMS suffixes in text order.
-  std::vector<int64_t> lms_pos;
-  lms_pos.reserve(n_lms);
-  for (int64_t i = 1; i < n; ++i) {
-    if (is_lms(i)) lms_pos.push_back(i);
+  // Gather the reduced problem (names in text order) into the tail of sa.
+  Idx* reduced = sa + n - n_lms;
+  for (Idx i = n, k = n; i-- > n_lms;) {
+    if (sa[i] != kEmpty) sa[--k] = sa[i];
   }
-  std::vector<int64_t> reduced(n_lms);
-  for (int64_t i = 0; i < n_lms; ++i) reduced[i] = name_of[lms_pos[i]];
 
-  std::vector<int64_t> lms_sa(n_lms);
+  // Solve it in sa[0, n_lms), with this level's buckets released meanwhile.
+  bkt = std::vector<Idx>();
   if (names < n_lms) {
-    SaIs(reduced.data(), lms_sa.data(), n_lms, names);
+    SaIs<Idx, Idx>(reduced, sa, n_lms, names);
   } else {
-    for (int64_t i = 0; i < n_lms; ++i) lms_sa[reduced[i]] = i;
+    for (Idx i = 0; i < n_lms; ++i) sa[reduced[i]] = i;
   }
+  bkt.resize(K);
+
+  // Map reduced ranks to text positions via the LMS positions in the tail.
+  for (Idx i = 1, k = 0; i < n; ++i) {
+    if (is_lms(i)) reduced[k++] = i;
+  }
+  for (Idx i = 0; i < n_lms; ++i) sa[i] = reduced[sa[i]];
 
   // Stage 2: place LMS suffixes in their now-known order and induce.
-  for (int64_t i = 0; i < n; ++i) sa[i] = kEmpty;
+  std::fill(sa + n_lms, sa + n, kEmpty);
   bucket_bounds(/*ends=*/true);
-  for (int64_t i = n_lms - 1; i >= 0; --i) {
-    int64_t j = lms_pos[lms_sa[i]];
+  for (Idx i = n_lms; i-- > 0;) {
+    Idx j = sa[i];
+    sa[i] = kEmpty;
     sa[--bkt[s[j]]] = j;
   }
   induce();
@@ -121,22 +119,24 @@ void SaIs(const int64_t* s, int64_t* sa, int64_t n, int64_t K) {
 
 }  // namespace
 
-std::vector<uint64_t> BuildSuffixArray(const std::vector<uint32_t>& text,
-                                       uint32_t sigma) {
-  int64_t n = static_cast<int64_t>(text.size());
-  DYNDEX_CHECK(n >= 1);
-  DYNDEX_CHECK(text[n - 1] == 0);
-  std::vector<int64_t> s(n);
-  for (int64_t i = 0; i < n; ++i) {
+template <typename Idx>
+std::vector<Idx> BuildSuffixArray(const std::vector<uint32_t>& text,
+                                  uint32_t sigma) {
+  DYNDEX_CHECK(!text.empty() && text.back() == 0);
+  DYNDEX_CHECK(text.size() <= std::numeric_limits<Idx>::max());
+  Idx n = static_cast<Idx>(text.size());
+  for (Idx i = 0; i < n; ++i) {
     DYNDEX_DCHECK(text[i] < sigma);
     DYNDEX_DCHECK(text[i] != 0 || i == n - 1);
-    s[i] = text[i];
   }
-  std::vector<int64_t> sa(n);
-  SaIs(s.data(), sa.data(), n, sigma);
-  std::vector<uint64_t> out(n);
-  for (int64_t i = 0; i < n; ++i) out[i] = static_cast<uint64_t>(sa[i]);
-  return out;
+  std::vector<Idx> sa(n);  // n == 1: {0}, the sentinel alone
+  if (n > 1) SaIs<Idx, uint32_t>(text.data(), sa.data(), n, sigma);
+  return sa;
 }
+
+template std::vector<uint32_t> BuildSuffixArray<uint32_t>(
+    const std::vector<uint32_t>&, uint32_t);
+template std::vector<uint64_t> BuildSuffixArray<uint64_t>(
+    const std::vector<uint32_t>&, uint32_t);
 
 }  // namespace dyndex

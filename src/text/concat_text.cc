@@ -22,7 +22,7 @@ std::string StringFromSymbols(const std::vector<Symbol>& symbols) {
 }
 
 ConcatText::ConcatText(const std::vector<Document>& docs) {
-  uint64_t total = 0;
+  uint64_t total = 1;  // the sentinel
   for (const Document& d : docs) total += d.symbols.size() + 1;
   symbols_.reserve(total);
   starts_.reserve(docs.size());
@@ -38,6 +38,7 @@ ConcatText::ConcatText(const std::vector<Document>& docs) {
     }
     symbols_.push_back(kSeparator);
   }
+  symbols_.push_back(kSentinel);
 }
 
 }  // namespace dyndex

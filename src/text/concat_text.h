@@ -35,17 +35,19 @@ std::vector<Symbol> SymbolsFromString(std::string_view s);
 /// Inverse of SymbolsFromString (values must be in [kMinSymbol, 257]).
 std::string StringFromSymbols(const std::vector<Symbol>& symbols);
 
-/// Concatenation "doc0 sep doc1 sep ... docm-1 sep" plus boundary metadata.
-/// The trailing SA-IS sentinel is appended by index builders, not stored here.
+/// Concatenation "doc0 sep doc1 sep ... docm-1 sep sentinel" plus boundary
+/// metadata. The trailing SA-IS sentinel is stored, so symbols() is the exact
+/// input of BuildSuffixArray and index builders read it without a copy.
 class ConcatText {
  public:
-  ConcatText() = default;
+  ConcatText() : symbols_(1, kSentinel) {}
 
   /// Builds the concatenation. Documents must be non-empty with symbols in
   /// [kMinSymbol, 2^32).
   explicit ConcatText(const std::vector<Document>& docs);
 
-  /// Total symbols including one separator per document.
+  /// Total symbols: one separator per document plus the trailing sentinel,
+  /// i.e. the number of suffix-array rows.
   uint64_t size() const { return symbols_.size(); }
   uint32_t num_docs() const { return static_cast<uint32_t>(starts_.size()); }
   /// Alphabet bound: max symbol value + 1 (>= 2).

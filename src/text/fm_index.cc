@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "suffix/bwt.h"
 #include "suffix/sais.h"
 #include "util/check.h"
 
@@ -15,45 +14,41 @@ FmIndex FmIndex::Build(const ConcatText& text, const Options& options) {
   idx.lens_ = text.lens();
   idx.sigma_ = text.sigma();
 
-  // Append the sentinel and build the suffix array.
-  std::vector<Symbol> t = text.symbols();
-  t.push_back(kSentinel);
-  uint64_t n_rows = t.size();
-  std::vector<uint64_t> sa = BuildSuffixArray(t, idx.sigma_);
-  std::vector<Symbol> bwt = BwtFromSuffixArray(t, sa);
-  idx.wt_ = WaveletTree(bwt, idx.sigma_);
-
-  // C array.
-  idx.c_.assign(idx.sigma_ + 1, 0);
-  for (Symbol c : bwt) ++idx.c_[c + 1];
-  for (uint32_t c = 1; c <= idx.sigma_; ++c) idx.c_[c] += idx.c_[c - 1];
-
   // Sampling: rows whose SA value is a multiple of s, in row order, plus the
-  // inverse samples for extraction.
+  // inverse samples for extraction; and the row of each separator suffix.
+  const std::vector<Symbol>& t = text.symbols();  // ends with the sentinel
+  uint64_t n_rows = t.size();
   uint32_t s = idx.sample_rate_;
+  uint64_t num_samples = (n_rows - 1) / s + 1;
+  uint32_t row_width = BitWidth(n_rows - 1);
   BitVector sampled(n_rows);
-  std::vector<uint64_t> sample_values;
-  idx.inv_samples_.Reset((n_rows - 1) / s + 1, BitWidth(n_rows - 1));
-  for (uint64_t row = 0; row < n_rows; ++row) {
-    if (sa[row] % s == 0) {
-      sampled.Set(row, true);
-      sample_values.push_back(sa[row]);
-      idx.inv_samples_.Set(sa[row] / s, row);
-    }
-  }
-  idx.sampled_.Build(std::move(sampled));
-  idx.sa_samples_ = IntVector::Pack(sample_values);
+  idx.sa_samples_.Reset(num_samples, BitWidth((num_samples - 1) * s));
+  idx.inv_samples_.Reset(num_samples, row_width);
+  idx.sep_rows_.Reset(text.num_docs(), row_width);
+  idx.c_.assign(idx.sigma_ + 1, 0);
 
-  // Separator rows: scan the SA once; a separator at position p terminates
-  // the document whose range contains p.
-  uint32_t m = text.num_docs();
-  idx.sep_rows_.Reset(m, BitWidth(n_rows == 0 ? 1 : n_rows - 1));
-  for (uint64_t row = 0; row < n_rows; ++row) {
-    uint64_t pos = sa[row];
-    if (pos + 1 < n_rows && t[pos] == kSeparator) {
-      idx.sep_rows_.Set(idx.DocOfPos(pos), row);
+  // One pass over the SA takes all of the above, counts the C array and
+  // overwrites each entry with its row's BWT symbol, so the SA buffer itself
+  // becomes the wavelet tree's input.
+  std::vector<Symbol> bwt = WithSuffixArray(t, idx.sigma_, [&](auto sa) {
+    uint64_t next_sample = 0;
+    for (uint64_t row = 0; row < n_rows; ++row) {
+      uint64_t pos = sa[row];
+      if (pos % s == 0) {
+        sampled.Set(row, true);
+        idx.sa_samples_.Set(next_sample++, pos);
+        idx.inv_samples_.Set(pos / s, row);
+      }
+      if (t[pos] == kSeparator) idx.sep_rows_.Set(idx.DocOfPos(pos), row);
+      Symbol c = t[pos == 0 ? n_rows - 1 : pos - 1];
+      ++idx.c_[c + 1];
+      sa[row] = c;
     }
-  }
+    return IntoSymbols(std::move(sa));
+  });
+  for (uint32_t c = 1; c <= idx.sigma_; ++c) idx.c_[c] += idx.c_[c - 1];
+  idx.sampled_.Build(std::move(sampled));
+  idx.wt_ = WaveletTree(std::move(bwt), idx.sigma_);
   return idx;
 }
 

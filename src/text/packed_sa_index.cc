@@ -17,20 +17,20 @@ PackedSaIndex PackedSaIndex::Build(const ConcatText& text,
   idx.sigma_ = text.sigma();
   idx.width_ = BitWidth(idx.sigma_ - 1);
 
-  std::vector<Symbol> t = text.symbols();
-  t.push_back(kSentinel);
+  const std::vector<Symbol>& t = text.symbols();  // ends with the sentinel
   uint64_t n_rows = t.size();
   idx.text_.Reset(n_rows, idx.width_);
   for (uint64_t i = 0; i < n_rows; ++i) idx.text_.Set(i, t[i]);
 
-  std::vector<uint64_t> sa = BuildSuffixArray(t, idx.sigma_);
   uint32_t row_width = BitWidth(n_rows - 1 == 0 ? 1 : n_rows - 1);
   idx.sa_.Reset(n_rows, row_width);
   idx.isa_.Reset(n_rows, row_width);
-  for (uint64_t row = 0; row < n_rows; ++row) {
-    idx.sa_.Set(row, sa[row]);
-    idx.isa_.Set(sa[row], row);
-  }
+  WithSuffixArray(t, idx.sigma_, [&](const auto& sa) {
+    for (uint64_t row = 0; row < n_rows; ++row) {
+      idx.sa_.Set(row, sa[row]);
+      idx.isa_.Set(sa[row], row);
+    }
+  });
   return idx;
 }
 

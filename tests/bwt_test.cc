@@ -11,6 +11,16 @@
 namespace dyndex {
 namespace {
 
+// The BWT through both SA index widths; the two must be identical.
+std::vector<Symbol> TwinBwt(const std::vector<Symbol>& t, uint32_t sigma) {
+  std::vector<Symbol> narrow =
+      BwtFromSuffixArray(t, BuildSuffixArray<uint32_t>(t, sigma));
+  std::vector<Symbol> wide =
+      BwtFromSuffixArray(t, BuildSuffixArray<uint64_t>(t, sigma));
+  EXPECT_EQ(narrow, wide) << "SA widths disagree, n=" << t.size();
+  return narrow;
+}
+
 class BwtRoundTripTest
     : public ::testing::TestWithParam<std::tuple<uint64_t, uint32_t>> {};
 
@@ -21,8 +31,7 @@ TEST_P(BwtRoundTripTest, InverseRecoversText) {
   t.push_back(kSentinel);
   uint32_t full_sigma = 0;
   for (Symbol s : t) full_sigma = s + 1 > full_sigma ? s + 1 : full_sigma;
-  auto sa = BuildSuffixArray(t, full_sigma);
-  auto bwt = BwtFromSuffixArray(t, sa);
+  auto bwt = TwinBwt(t, full_sigma);
   ASSERT_EQ(bwt.size(), t.size());
   // Exactly one sentinel in the BWT.
   uint64_t sentinels = 0;
@@ -41,8 +50,7 @@ TEST(BwtTest, KnownTransform) {
   // suffixes sorted: $, a$, ana$, anana$, banana$, na$, nana$
   // preceding chars:  a   n    n      b       $     a    a
   std::vector<Symbol> t{3, 2, 4, 2, 4, 2, 0};
-  auto sa = BuildSuffixArray(t, 5);
-  auto bwt = BwtFromSuffixArray(t, sa);
+  auto bwt = TwinBwt(t, 5);
   EXPECT_EQ(bwt, (std::vector<Symbol>{2, 4, 4, 3, 0, 2, 2}));
 }
 
@@ -53,8 +61,7 @@ void ExpectRoundTrip(std::vector<Symbol> t) {
   t.push_back(kSentinel);
   uint32_t sigma = 0;
   for (Symbol s : t) sigma = s + 1 > sigma ? s + 1 : sigma;
-  auto sa = BuildSuffixArray(t, sigma);
-  auto bwt = BwtFromSuffixArray(t, sa);
+  auto bwt = TwinBwt(t, sigma);
   ASSERT_EQ(InverseBwt(bwt, sigma), t);
 }
 }  // namespace
@@ -69,8 +76,7 @@ TEST(BwtAdversarialTest, AllEqualSymbolRunsGroupToOneRun) {
   // BWT of c^n $ is c...c$ rotated: exactly two runs after the sentinel.
   std::vector<Symbol> t(300, 5);
   t.push_back(kSentinel);
-  auto sa = BuildSuffixArray(t, 6);
-  auto bwt = BwtFromSuffixArray(t, sa);
+  auto bwt = TwinBwt(t, 6);
   uint64_t runs = 1;
   for (uint64_t i = 1; i < bwt.size(); ++i) runs += bwt[i] != bwt[i - 1];
   EXPECT_LE(runs, 3u);
@@ -109,6 +115,27 @@ TEST(BwtAdversarialTest, SeededFuzzSweep) {
   }
 }
 
+TEST(BwtAdversarialTest, DeepRecursionRoundTrips) {
+  // A Fibonacci word (SA-IS recurses 10 levels below the top one) and 200
+  // separator-terminated copies of one document (6 levels).
+  std::vector<Symbol> a{2}, fib{2, 3};
+  while (fib.size() < (1u << 17)) {
+    std::vector<Symbol> next = fib;
+    next.insert(next.end(), a.begin(), a.end());
+    a = std::move(fib);
+    fib = std::move(next);
+  }
+  ExpectRoundTrip(std::move(fib));
+  Rng rng(81);
+  std::vector<Symbol> unit = UniformText(rng, 1000, 4);
+  std::vector<Symbol> periodic;
+  for (int rep = 0; rep < 200; ++rep) {
+    periodic.insert(periodic.end(), unit.begin(), unit.end());
+    periodic.push_back(kSeparator);
+  }
+  ExpectRoundTrip(std::move(periodic));
+}
+
 TEST(BwtTest, RepetitiveTextGroupsRuns) {
   // BWT of a highly repetitive text should contain long runs; sanity-check
   // that the run count is far below n.
@@ -119,8 +146,7 @@ TEST(BwtTest, RepetitiveTextGroupsRuns) {
     t.insert(t.end(), unit.begin(), unit.end());
   }
   t.push_back(kSentinel);
-  auto sa = BuildSuffixArray(t, 8);
-  auto bwt = BwtFromSuffixArray(t, sa);
+  auto bwt = TwinBwt(t, 8);
   uint64_t runs = 1;
   for (uint64_t i = 1; i < bwt.size(); ++i) runs += bwt[i] != bwt[i - 1];
   EXPECT_LT(runs * 4, bwt.size());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "gen/text_gen.h"
@@ -16,12 +17,48 @@ std::vector<Symbol> WithSentinel(std::vector<Symbol> t) {
   return t;
 }
 
-void ExpectValidSuffixArray(const std::vector<Symbol>& text) {
+uint32_t SigmaOf(const std::vector<Symbol>& text) {
   uint32_t sigma = 0;
   for (Symbol s : text) sigma = s + 1 > sigma ? s + 1 : sigma;
-  auto sa = BuildSuffixArray(text, sigma);
-  auto expect = NaiveSuffixArray(text);
-  ASSERT_EQ(sa, expect);
+  return sigma;
+}
+
+// Builds the SA at both index widths; the two must be identical. Returns the
+// 64-bit one.
+std::vector<uint64_t> WidthTwinSuffixArray(const std::vector<Symbol>& text) {
+  uint32_t sigma = SigmaOf(text);
+  std::vector<uint32_t> narrow = BuildSuffixArray<uint32_t>(text, sigma);
+  std::vector<uint64_t> wide = BuildSuffixArray<uint64_t>(text, sigma);
+  EXPECT_TRUE(std::equal(narrow.begin(), narrow.end(), wide.begin(),
+                         wide.end()))
+      << "32-bit and 64-bit SAs differ, n=" << text.size();
+  return wide;
+}
+
+void ExpectValidSuffixArray(const std::vector<Symbol>& text) {
+  ASSERT_EQ(WidthTwinSuffixArray(text), NaiveSuffixArray(text));
+}
+
+// Linear-time SA check for inputs too repetitive for the naive sort: `sa` is
+// a permutation, and adjacent rows are ordered by their first symbol, then by
+// the ranks of the suffixes one position later.
+void ExpectSortedSuffixArray(const std::vector<Symbol>& text,
+                             const std::vector<uint64_t>& sa) {
+  uint64_t n = text.size();
+  ASSERT_EQ(sa.size(), n);
+  std::vector<uint64_t> rank(n, n);
+  for (uint64_t row = 0; row < n; ++row) {
+    ASSERT_LT(sa[row], n);
+    ASSERT_EQ(rank[sa[row]], n) << "position listed twice: " << sa[row];
+    rank[sa[row]] = row;
+  }
+  ASSERT_EQ(sa[0], n - 1);
+  for (uint64_t row = 1; row < n; ++row) {
+    uint64_t a = sa[row - 1], b = sa[row];
+    ASSERT_TRUE(text[a] < text[b] ||
+                (text[a] == text[b] && rank[a + 1] < rank[b + 1]))
+        << "rows " << row - 1 << ", " << row;
+  }
 }
 
 TEST(SaisTest, TinyInputs) {
@@ -150,7 +187,7 @@ TEST(SaisAdversarialTest, SeededFuzzSweep) {
 TEST(SaisTest, SentinelRowIsFirst) {
   Rng rng(12);
   auto t = WithSentinel(UniformText(rng, 1000, 8));
-  auto sa = BuildSuffixArray(t, 10);
+  auto sa = BuildSuffixArray<uint32_t>(t, 10);
   EXPECT_EQ(sa[0], t.size() - 1);
   // Permutation property.
   std::vector<bool> seen(t.size(), false);
@@ -159,6 +196,38 @@ TEST(SaisTest, SentinelRowIsFirst) {
     ASSERT_FALSE(seen[v]);
     seen[v] = true;
   }
+}
+
+// --- deep recursion --------------------------------------------------------
+// The reduced problem is named, gathered and solved inside the SA buffer, so
+// the inputs that matter are those whose reduced strings keep repeating and
+// recurse many levels. Each is checked against its 64-bit twin and the
+// linear-time order check; the naive sort is too slow on them.
+
+TEST(SaisDeepRecursionTest, FibonacciWord) {
+  // 196418 symbols; SA-IS recurses 10 levels below the top one.
+  std::vector<Symbol> a{2}, b{2, 3};
+  while (b.size() < (1u << 17)) {
+    std::vector<Symbol> next = b;
+    next.insert(next.end(), a.begin(), a.end());
+    a = std::move(b);
+    b = std::move(next);
+  }
+  auto t = WithSentinel(std::move(b));
+  ExpectSortedSuffixArray(t, WidthTwinSuffixArray(t));
+}
+
+TEST(SaisDeepRecursionTest, PeriodicTextWithSeparators) {
+  // 200 copies of one random 1000-symbol document: 6 levels below the top.
+  Rng rng(13);
+  std::vector<Symbol> unit = UniformText(rng, 1000, 4);
+  std::vector<Symbol> t;
+  for (int rep = 0; rep < 200; ++rep) {
+    t.insert(t.end(), unit.begin(), unit.end());
+    t.push_back(kSeparator);
+  }
+  t = WithSentinel(std::move(t));
+  ExpectSortedSuffixArray(t, WidthTwinSuffixArray(t));
 }
 
 }  // namespace
