@@ -17,8 +17,8 @@
 //    goes through each backend's reverse machinery (the fast tier's mirrored
 //    index vs the succinct structures' native rank/select).
 //  * FrontierConcurrentReaders/<backend>  -- 4 optimistic lock-free readers
-//    vs one paced churn writer over ConcurrentRelation, with the full
-//    optimistic_stats()/pacing_stats() counter set per backend: the fast
+//    vs one paced churn writer over a one-shard ShardedRelation, with the
+//    full optimistic_stats()/pacing_stats() counter set per backend: the fast
 //    tier republishes pointers far more often than the succinct backends, so
 //    validated/retries/fallbacks must stay sane alongside raw throughput.
 //
@@ -39,8 +39,8 @@
 #include <vector>
 
 #include "gen/relation_gen.h"
-#include "serve/concurrent_relation.h"
 #include "serve/relation_index.h"
+#include "serve/sharded_relation.h"
 #include "util/rng.h"
 
 namespace dyndex {
@@ -253,7 +253,7 @@ void RunQueries(benchmark::State& state, RelationBackend backend,
 // --- concurrent readers vs a paced writer -----------------------------------
 
 struct ConcurrentFixture {
-  std::unique_ptr<ConcurrentRelation> rel;
+  std::unique_ptr<ShardedRelation> rel;
   RelationPairs churn;
 };
 
@@ -263,8 +263,7 @@ ConcurrentFixture* GetConcurrentFixture(RelationBackend backend) {
   auto it = cache->find(static_cast<int>(backend));
   if (it != cache->end()) return it->second.get();
   auto f = std::make_unique<ConcurrentFixture>();
-  f->rel = std::make_unique<ConcurrentRelation>(
-      MakeRelationIndex(backend, FrontierOptions()));
+  f->rel = std::make_unique<ShardedRelation>(1, backend, FrontierOptions());
   f->rel->AddPairsBatch(GraphEdges(kEdgesSmall));
   Rng rng(529);
   f->churn = GenPairs(rng, 4096, kNodes, kNodes, kGraphZipf);

@@ -1,6 +1,6 @@
 // Durability cost model: what a checkpoint costs, and what recovery buys.
 //
-//   SnapshotWrite    — Checkpoint() of a live ConcurrentIndex (state export
+//   SnapshotWrite    — Checkpoint() of a live one-shard ShardedIndex (export
 //                      under the maintenance lock + checksummed snapshot
 //                      write + WAL reset) at 2^17..2^20 live symbols.
 //   RecoverSnapshot  — OpenDurable() against a checkpointed directory: one
@@ -26,9 +26,9 @@
 #include <vector>
 
 #include "persist/env.h"
-#include "serve/concurrent_index.h"
 #include "serve/dynamic_index.h"
 #include "serve/persistence.h"
+#include "serve/sharded_index.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -70,7 +70,7 @@ const std::vector<std::vector<Symbol>>& GetDocs(uint64_t total_symbols) {
 void Populate(persist::Env* env, const std::string& dir,
               uint64_t total_symbols, bool checkpoint) {
   const auto& docs = GetDocs(total_symbols);
-  ConcurrentIndex index(MakeDynamicIndex(Backend::kBaseline, IndexOpts()));
+  ShardedIndex index(1, Backend::kBaseline, IndexOpts());
   DurableOptions opt;
   opt.sync_every_batches = 16;
   DYNDEX_CHECK(index.OpenDurable(env, dir, opt).ok());
@@ -88,14 +88,14 @@ void BM_Persist_SnapshotWrite(benchmark::State& state) {
   const uint64_t total = static_cast<uint64_t>(state.range(0));
   persist::MemEnv env;
   const auto& docs = GetDocs(total);
-  ConcurrentIndex index(MakeDynamicIndex(Backend::kBaseline, IndexOpts()));
+  ShardedIndex index(1, Backend::kBaseline, IndexOpts());
   DYNDEX_CHECK(index.OpenDurable(&env, "db").ok());
   index.InsertBatch(docs);
   for (auto _ : state) {
     DYNDEX_CHECK(index.Checkpoint().ok());
   }
   uint64_t snap_size = 0;
-  DYNDEX_CHECK(env.GetFileSize("db/SNAPSHOT", &snap_size).ok());
+  DYNDEX_CHECK(env.GetFileSize("db/shard-0/SNAPSHOT", &snap_size).ok());
   state.counters["snapshot_bytes"] = static_cast<double>(snap_size);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(total));
@@ -106,7 +106,7 @@ void BM_Persist_RecoverSnapshot(benchmark::State& state) {
   persist::MemEnv env;
   Populate(&env, "db", total, /*checkpoint=*/true);
   for (auto _ : state) {
-    ConcurrentIndex index(MakeDynamicIndex(Backend::kBaseline, IndexOpts()));
+    ShardedIndex index(1, Backend::kBaseline, IndexOpts());
     RecoveryStats stats;
     DYNDEX_CHECK(index.OpenDurable(&env, "db", {}, &stats).ok());
     DYNDEX_CHECK(stats.snapshot_loaded && stats.replayed_batches == 0);
@@ -121,7 +121,7 @@ void BM_Persist_RecoverWalReplay(benchmark::State& state) {
   persist::MemEnv env;
   Populate(&env, "db", total, /*checkpoint=*/false);
   for (auto _ : state) {
-    ConcurrentIndex index(MakeDynamicIndex(Backend::kBaseline, IndexOpts()));
+    ShardedIndex index(1, Backend::kBaseline, IndexOpts());
     RecoveryStats stats;
     DYNDEX_CHECK(index.OpenDurable(&env, "db", {}, &stats).ok());
     DYNDEX_CHECK(!stats.snapshot_loaded && stats.replayed_batches > 0);
@@ -135,7 +135,7 @@ void BM_Persist_ColdRebuild(benchmark::State& state) {
   const uint64_t total = static_cast<uint64_t>(state.range(0));
   const auto& docs = GetDocs(total);
   for (auto _ : state) {
-    ConcurrentIndex index(MakeDynamicIndex(Backend::kBaseline, IndexOpts()));
+    ShardedIndex index(1, Backend::kBaseline, IndexOpts());
     index.InsertBatch(docs);
     benchmark::DoNotOptimize(index.num_docs());
   }

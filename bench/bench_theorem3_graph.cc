@@ -9,8 +9,8 @@
 
 #include "gen/relation_gen.h"
 #include "relation/dynamic_graph.h"
-#include "serve/concurrent_relation.h"
 #include "serve/relation_index.h"
+#include "serve/sharded_relation.h"
 #include "util/rng.h"
 
 namespace dyndex {
@@ -117,12 +117,11 @@ void BM_Thm3_Build_Bulk(benchmark::State& state) {
 BENCHMARK(BM_Thm3_Build_Pairwise)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Thm3_Build_Bulk)->Unit(benchmark::kMillisecond);
 
-// Concurrent neighbor queries over the graph view of ConcurrentRelation
-// (the shared epoch core), scaling reader threads.
+// Concurrent neighbor queries over the graph view of a one-shard
+// ShardedRelation (the unsharded facade), scaling reader threads.
 void BM_Thm3_ConcurrentNeighbors(benchmark::State& state) {
-  static ConcurrentRelation* shared = [] {
-    auto* r = new ConcurrentRelation(
-        MakeRelationIndex(RelationBackend::kGraph));
+  static ShardedRelation* shared = [] {
+    auto* r = new ShardedRelation(1, RelationBackend::kGraph);
     Rng rng(31);
     r->AddPairsBatch(GenEdges(rng, kEdges, kNodes, /*zipf=*/0.8));
     return r;

@@ -6,23 +6,23 @@
 // the triples in which x occurs as a subject; given x and p, enumerate all
 // triples in which x occurs as a subject and p occurs as a predicate."
 //
-// We store one ConcurrentRelation per triple dimension:
+// We store one relation facade per triple dimension:
 //   subjects  : subject  -> triple-id
 //   predicates: predicate-> triple-id
 //   objects   : object   -> triple-id
 // and answer both query shapes with relation primitives. Each relation is a
-// ConcurrentRelation over the Theorem 2 backend, so any number of reader
-// threads could run these queries while a writer retracts and asserts
-// triples in batches; the epoch reported by each query identifies the
-// snapshot it saw. Bulk assertion rides AddPairsBatch, which routes
-// cold-start batches into one compressed sub-collection build.
+// one-shard ShardedRelation (K = 1, the unsharded facade) over the Theorem 2
+// backend, so any number of reader threads could run these queries while a
+// writer retracts and asserts triples in batches; the epoch reported by each
+// query identifies the snapshot it saw. Bulk assertion rides AddPairsBatch,
+// which routes cold-start batches into one compressed sub-collection build.
 #include <cstdio>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "serve/concurrent_relation.h"
 #include "serve/relation_index.h"
+#include "serve/sharded_relation.h"
 
 using namespace dyndex;
 
@@ -35,9 +35,9 @@ struct Triple {
 class TripleStore {
  public:
   TripleStore()
-      : by_subject_(MakeRelationIndex(RelationBackend::kTheorem2)),
-        by_predicate_(MakeRelationIndex(RelationBackend::kTheorem2)),
-        by_object_(MakeRelationIndex(RelationBackend::kTheorem2)) {}
+      : by_subject_(1, RelationBackend::kTheorem2),
+        by_predicate_(1, RelationBackend::kTheorem2),
+        by_object_(1, RelationBackend::kTheorem2) {}
 
   /// Asserts a batch of triples atomically per dimension; returns the ids.
   std::vector<uint32_t> AddBatch(const std::vector<Triple>& triples) {
@@ -95,12 +95,12 @@ class TripleStore {
   }
 
   /// Write batches applied to the subject dimension so far.
-  uint64_t epoch() const { return by_subject_.epoch(); }
+  uint64_t epoch() const { return by_subject_.epochs()[0]; }
 
   uint64_t size() const { return triples_.size(); }
 
  private:
-  ConcurrentRelation by_subject_, by_predicate_, by_object_;
+  ShardedRelation by_subject_, by_predicate_, by_object_;
   std::unordered_map<uint32_t, Triple> triples_;
   uint32_t next_id_ = 0;
 };

@@ -12,7 +12,7 @@
 // All query methods are const: the adapter stores the collection by value and
 // calls through from const members, so any mutation hiding in a backend's
 // query path fails to compile here. This is the single-threaded facade;
-// serve/concurrent_index.h adds the reader/writer discipline on top.
+// serve/sharded_index.h adds the reader/writer discipline on top.
 #ifndef DYNDEX_SERVE_DYNAMIC_INDEX_H_
 #define DYNDEX_SERVE_DYNAMIC_INDEX_H_
 
@@ -65,7 +65,7 @@ class DynamicIndex {
  public:
   virtual ~DynamicIndex() = default;
 
-  // Mutations (writer thread only; see concurrent_index.h).
+  // Mutations (writer thread only; see sharded_index.h).
   virtual DocId Insert(std::vector<Symbol> symbols) = 0;
   virtual bool Erase(DocId id) = 0;
 

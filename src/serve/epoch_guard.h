@@ -1,9 +1,8 @@
-// The reusable concurrent-serving core: every concurrent facade in the repo
-// (documents in concurrent_index.h, relations/graphs in concurrent_relation.h,
-// and every shard under the sharded facades) is a thin wrapper over one
-// EpochGuard<Backend>, so the read protocol, the writer-priority gate, the
-// epoch, the reclamation contract, and the PollPending publication hook exist
-// exactly once.
+// The reusable concurrent-serving core: every shard under the sharded
+// facades (documents in sharded_index.h, relations/graphs in
+// sharded_relation.h, both on sharded_core.h) is one EpochGuard<Backend>, so
+// the read protocol, the writer-priority gate, the epoch, the reclamation
+// contract, and the PollPending publication hook exist exactly once.
 //
 // Concurrency model (documented in README.md):
 //

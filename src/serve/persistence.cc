@@ -415,11 +415,11 @@ Status OpenCore(persist::Env* env, const std::string& dir,
 
 }  // namespace
 
-persist::Status OpenDurableIndexCore(persist::Env* env, const std::string& dir,
-                                     const DurableOptions& opt,
-                                     EpochGuard<DynamicIndex>& core,
-                                     std::unique_ptr<DurableLog>* out,
-                                     RecoveryStats* stats) {
+persist::Status OpenDurableCore(persist::Env* env, const std::string& dir,
+                                const DurableOptions& opt,
+                                EpochGuard<DynamicIndex>& core,
+                                std::unique_ptr<DurableLog>* out,
+                                RecoveryStats* stats) {
   DynamicIndex& idx = core.unsynchronized();
   DYNDEX_CHECK(idx.num_docs() == 0 && core.epoch() == 0);
   const char* backend = idx.backend_name();
@@ -456,8 +456,8 @@ persist::Status OpenDurableIndexCore(persist::Env* env, const std::string& dir,
       });
 }
 
-persist::Status CheckpointIndexCore(EpochGuard<DynamicIndex>& core,
-                                    DurableLog& log) {
+persist::Status CheckpointCore(EpochGuard<DynamicIndex>& core,
+                               DurableLog& log) {
   // Checkpoint runs on the facade's writer thread by contract.
   log.writer_role().AssertHeld();
   if (!log.status().ok()) return log.status();
@@ -479,12 +479,11 @@ persist::Status CheckpointIndexCore(EpochGuard<DynamicIndex>& core,
   return log.Checkpoint(sections);
 }
 
-persist::Status OpenDurableRelationCore(persist::Env* env,
-                                        const std::string& dir,
-                                        const DurableOptions& opt,
-                                        EpochGuard<RelationIndex>& core,
-                                        std::unique_ptr<DurableLog>* out,
-                                        RecoveryStats* stats) {
+persist::Status OpenDurableCore(persist::Env* env, const std::string& dir,
+                                const DurableOptions& opt,
+                                EpochGuard<RelationIndex>& core,
+                                std::unique_ptr<DurableLog>* out,
+                                RecoveryStats* stats) {
   RelationIndex& rel = core.unsynchronized();
   DYNDEX_CHECK(rel.num_pairs() == 0 && core.epoch() == 0);
   const char* backend = rel.backend_name();
@@ -518,8 +517,8 @@ persist::Status OpenDurableRelationCore(persist::Env* env,
       });
 }
 
-persist::Status CheckpointRelationCore(EpochGuard<RelationIndex>& core,
-                                       DurableLog& log) {
+persist::Status CheckpointCore(EpochGuard<RelationIndex>& core,
+                               DurableLog& log) {
   // Checkpoint runs on the facade's writer thread by contract.
   log.writer_role().AssertHeld();
   if (!log.status().ok()) return log.status();

@@ -219,36 +219,35 @@ class DurableLog {
 
 // --- core-level open / replay / checkpoint --------------------------------
 //
-// These operate on the EpochGuard cores directly so the single-core facades
-// (ConcurrentIndex / ConcurrentRelation) and the per-shard loops of the
-// sharded facades share one recovery implementation. Preconditions: the core
-// is fresh (empty, epoch 0) and externally quiesced — recovery IS the
-// writer. Snapshot loads run under Maintain (state restoration, epoch
-// untouched); frame replay runs under Write with no logging, so the epoch
-// after open counts exactly the batches replayed on top of the snapshot.
+// These operate on one EpochGuard core (one shard of a sharded facade, see
+// serve/sharded_core.h) and are overloaded on its backend, so
+// ShardedCore<Backend> reaches the right one by overload resolution.
+// Preconditions: the core is fresh (empty, epoch 0) and externally quiesced
+// — recovery IS the writer. Snapshot loads run under Maintain (state
+// restoration, epoch untouched); frame replay runs under Write with no
+// logging, so the epoch after open counts exactly the batches replayed on
+// top of the snapshot. Every shard snapshot records StateKind::kIndex or
+// kRelation; the MANIFEST records the sharded kinds.
 
-persist::Status OpenDurableIndexCore(persist::Env* env, const std::string& dir,
-                                     const DurableOptions& opt,
-                                     EpochGuard<DynamicIndex>& core,
-                                     std::unique_ptr<DurableLog>* out,
-                                     RecoveryStats* stats);
+persist::Status OpenDurableCore(persist::Env* env, const std::string& dir,
+                                const DurableOptions& opt,
+                                EpochGuard<DynamicIndex>& core,
+                                std::unique_ptr<DurableLog>* out,
+                                RecoveryStats* stats);
+persist::Status OpenDurableCore(persist::Env* env, const std::string& dir,
+                                const DurableOptions& opt,
+                                EpochGuard<RelationIndex>& core,
+                                std::unique_ptr<DurableLog>* out,
+                                RecoveryStats* stats);
 
-persist::Status CheckpointIndexCore(EpochGuard<DynamicIndex>& core,
-                                    DurableLog& log);
-
-persist::Status OpenDurableRelationCore(persist::Env* env,
-                                        const std::string& dir,
-                                        const DurableOptions& opt,
-                                        EpochGuard<RelationIndex>& core,
-                                        std::unique_ptr<DurableLog>* out,
-                                        RecoveryStats* stats);
-
-persist::Status CheckpointRelationCore(EpochGuard<RelationIndex>& core,
-                                       DurableLog& log);
+persist::Status CheckpointCore(EpochGuard<DynamicIndex>& core,
+                               DurableLog& log);
+persist::Status CheckpointCore(EpochGuard<RelationIndex>& core,
+                               DurableLog& log);
 
 // --- sharded manifest ------------------------------------------------------
 //
-// The sharded facades bind their shard set with one more snapshot container
+// The sharded core binds its shard set with one more snapshot container
 // (a single meta section) at <dir>/MANIFEST. The manifest is written on the
 // first durable open, before any shard logs a batch; on reopen a kind /
 // shard-count / backend mismatch is refused loudly, and every bound shard

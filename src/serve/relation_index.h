@@ -16,7 +16,7 @@
 // All query methods are const: the adapter stores the relation by value and
 // calls through from const members, so any mutation hiding in a backend's
 // query path fails to compile here. This is the single-threaded facade;
-// serve/concurrent_relation.h adds the reader/writer discipline on top.
+// serve/sharded_relation.h adds the reader/writer discipline on top.
 #ifndef DYNDEX_SERVE_RELATION_INDEX_H_
 #define DYNDEX_SERVE_RELATION_INDEX_H_
 
@@ -49,7 +49,7 @@ class RelationIndex {
  public:
   virtual ~RelationIndex() = default;
 
-  // Mutations (writer thread only; see concurrent_relation.h).
+  // Mutations (writer thread only; see sharded_relation.h).
   virtual bool AddPair(uint32_t object, uint32_t label) = 0;
   virtual bool RemovePair(uint32_t object, uint32_t label) = 0;
 

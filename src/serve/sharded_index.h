@@ -1,8 +1,8 @@
 // Sharded document serving: K independent EpochGuard<DynamicIndex> shards
-// behind one facade, so K writers proceed concurrently instead of
-// serializing on ConcurrentIndex's single exclusive lock — the scaling axis
-// the dynamic succinct graph literature (RadixGraph, Coimbra et al.) reaches
-// by partitioning the structure.
+// behind one facade (serve/sharded_core.h), so K writers proceed
+// concurrently instead of serializing on one exclusive lock — the scaling
+// axis the dynamic succinct graph literature (RadixGraph, Coimbra et al.)
+// reaches by partitioning the structure. K = 1 is the unsharded index.
 //
 // Partitioning. Documents are placed round-robin and their global ids are
 // minted as  global = local * K + shard,  so the stable partition function
@@ -40,64 +40,13 @@
 #include "persist/env.h"
 #include "persist/status.h"
 #include "serve/dynamic_index.h"
-#include "serve/epoch_guard.h"
 #include "serve/persistence.h"
-#include "serve/thread_pool.h"
+#include "serve/sharded_core.h"
 #include "text/concat_text.h"
 
 namespace dyndex {
 
-/// Per-shard epochs observed by one fanned-out query (index = shard).
-using ShardEpochs = std::vector<uint64_t>;
-
-/// Per-shard seqlock words (index = shard; even = quiescent). The cheap
-/// change-detection poll of the sharded facades: a shard whose sequence is
-/// unchanged between two polls served no write in between.
-using ShardSeqs = std::vector<uint64_t>;
-
-namespace shard_internal {
-
-/// The single fan-out implementation behind every merged query in
-/// ShardedIndex / ShardedRelation: scatter per_shard(s, &epoch) -> R across
-/// all shards on the pool, join, fill `epochs` when requested, and hand
-/// back the per-shard results in shard order.
-template <typename R, typename PerShard>
-std::vector<R> FanOutRead(ThreadPool& pool, uint32_t num_shards,
-                          ShardEpochs* epochs, const PerShard& per_shard) {
-  std::vector<R> part(num_shards);
-  ShardEpochs eps(num_shards, 0);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(num_shards);
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    tasks.push_back(
-        [&part, &eps, &per_shard, s] { part[s] = per_shard(s, &eps[s]); });
-  }
-  pool.RunAll(std::move(tasks));
-  if (epochs != nullptr) *epochs = std::move(eps);
-  return part;
-}
-
-template <typename T>
-uint64_t SumOf(const std::vector<T>& part) {
-  uint64_t total = 0;
-  for (const T& v : part) total += v;
-  return total;
-}
-
-/// Concatenates the per-shard slices in shard order.
-template <typename T>
-std::vector<T> Flatten(std::vector<std::vector<T>> part) {
-  uint64_t total = 0;
-  for (const auto& p : part) total += p.size();
-  std::vector<T> out;
-  out.reserve(total);
-  for (auto& p : part) out.insert(out.end(), p.begin(), p.end());
-  return out;
-}
-
-}  // namespace shard_internal
-
-class ShardedIndex {
+class ShardedIndex : public ShardedCore<DynamicIndex> {
  public:
   /// K shards, each built by `shard_factory` (must be K independent
   /// instances). The pool holds K-1 workers: the calling thread always
@@ -110,9 +59,6 @@ class ShardedIndex {
   ShardedIndex(uint32_t num_shards, Backend backend,
                const DynamicIndexOptions& opt = {});
 
-  uint32_t num_shards() const {
-    return static_cast<uint32_t>(shards_.size());
-  }
   /// Stable partition function over document ids.
   uint32_t shard_of(DocId id) const {
     return static_cast<uint32_t>(id % shards_.size());
@@ -138,28 +84,6 @@ class ShardedIndex {
   uint64_t num_docs(ShardEpochs* epochs = nullptr) const;
   uint64_t live_symbols(ShardEpochs* epochs = nullptr) const;
 
-  /// Current per-shard epochs (not a consistent cross-shard snapshot; use
-  /// the per-query epoch outputs for linearization).
-  ShardEpochs epochs() const;
-  /// Current per-shard sequence words (plain atomic loads).
-  ShardSeqs seqs() const;
-
-  /// Optimistic read-path knobs / counters, fanned to every shard's core
-  /// (see serve/epoch_guard.h). Policies are atomic snapshots — settable
-  /// at any time.
-  void set_optimistic_policy(const OptimisticPolicy& policy);
-  /// Counters summed across shards.
-  OptimisticStats optimistic_stats() const;
-  /// Write pacing, fanned to every shard's core. Shards pace independently:
-  /// each shard's writer gate keys on that shard's own stalled readers and
-  /// sleeps before taking that shard's lock (never inside one), so a paced
-  /// shard cannot delay batches bound for quiet shards.
-  void set_pacing_policy(const PacingPolicy& policy);
-  /// Pacing counters summed across shards.
-  PacingStats pacing_stats() const;
-  /// Retired-but-not-yet-reclaimed batches summed across shards.
-  uint64_t retired_pending() const;
-
   // --- writer API (any number of concurrent callers) -----------------------
 
   /// Splits the batch per shard (round-robin placement) and applies the
@@ -174,50 +98,16 @@ class ShardedIndex {
   /// Blocks until all shards' background builds are published.
   void Flush();
 
-  // --- durability (see serve/persistence.h) --------------------------------
-  //
-  // Per-shard layout under `dir`: shard s's snapshot + WAL live in
-  // `<dir>/shard-<s>/`, and one MANIFEST in `dir` binds the shard count and
-  // backend — reopening with a different K or backend, or with a bound
-  // shard's log missing, is refused loudly instead of silently serving a
-  // partial collection. Recovery fans out across the pool (one shard per
-  // worker). Batch writers may still run concurrently afterwards: each
-  // shard's WAL is only touched inside that shard's exclusive section
-  // (including the group-commit fsync). OpenDurable / Checkpoint / SyncWal /
-  // CloseDurable themselves require writer quiescence.
-
+  /// The core's durable open (serve/sharded_core.h), then the placement
+  /// cursor restored from the recovered document count.
   persist::Status OpenDurable(persist::Env* env, const std::string& dir,
                               const DurableOptions& opt = {},
                               RecoveryStats* stats = nullptr);
-  /// Checkpoints every shard in parallel: snapshot + WAL reset per shard.
-  persist::Status Checkpoint();
-  /// Forces every shard's WAL to disk; surfaces sticky append/sync failures.
-  persist::Status SyncWal();
-  /// Final sync + detach; the facade keeps serving, un-durably.
-  persist::Status CloseDurable();
-  bool durable() const { return !logs_.empty(); }
-
-  const char* backend_name() const {
-    return shards_[0]->unsynchronized().backend_name();
-  }
-
-  /// Structural self-check across all shards (takes each shard's shared
-  /// lock in turn).
-  void CheckInvariants() const;
-
-  /// Shard s's index, with no locking. Callers must guarantee quiescence.
-  DynamicIndex& unsynchronized_shard(uint32_t s) {
-    return shards_[s]->unsynchronized();
-  }
 
  private:
-  std::vector<std::unique_ptr<EpochGuard<DynamicIndex>>> shards_;
-  mutable ThreadPool pool_;
   /// Round-robin placement cursor for new documents (balances shards while
   /// keeping id minting deterministic for a single writer).
   std::atomic<uint64_t> next_place_{0};
-  /// Per-shard durable logs; empty until OpenDurable (then index = shard).
-  std::vector<std::unique_ptr<serve_persist::DurableLog>> logs_;
 };
 
 }  // namespace dyndex

@@ -1,7 +1,8 @@
 // Sharded relation/graph serving: K independent EpochGuard<RelationIndex>
-// shards behind one facade — the Theorem 2/3 analogue of
-// serve/sharded_index.h, partitioned the way RadixGraph and the dynamic
-// succinct graph representations partition adjacency: by source vertex.
+// shards behind one facade (serve/sharded_core.h) — the Theorem 2/3
+// analogue of serve/sharded_index.h (K = 1 is the unsharded relation),
+// partitioned the way RadixGraph and the dynamic succinct graph
+// representations partition adjacency: by source vertex.
 //
 // Partitioning. A pair (object, label) — an edge u -> v — lives in shard
 // shard_of_object(object), a stable hash of the *object* id. All labels of
@@ -20,20 +21,14 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
-#include "persist/env.h"
-#include "persist/status.h"
-#include "serve/epoch_guard.h"
-#include "serve/persistence.h"
 #include "serve/relation_index.h"
-#include "serve/sharded_index.h"  // ShardEpochs
-#include "serve/thread_pool.h"
+#include "serve/sharded_core.h"
 
 namespace dyndex {
 
-class ShardedRelation {
+class ShardedRelation : public ShardedCore<RelationIndex> {
  public:
   /// K shards, each built by `shard_factory` (K independent instances); the
   /// pool holds K-1 workers (the caller executes one slice itself).
@@ -45,9 +40,6 @@ class ShardedRelation {
   ShardedRelation(uint32_t num_shards, RelationBackend backend,
                   const RelationIndexOptions& opt = {});
 
-  uint32_t num_shards() const {
-    return static_cast<uint32_t>(shards_.size());
-  }
   /// Stable hash partition over object (source-vertex) ids.
   uint32_t shard_of_object(uint32_t object) const;
 
@@ -88,27 +80,6 @@ class ShardedRelation {
     return num_pairs(epochs);
   }
 
-  /// Current per-shard epochs (not a consistent cross-shard snapshot).
-  ShardEpochs epochs() const;
-  /// Current per-shard sequence words (plain atomic loads).
-  ShardSeqs seqs() const;
-
-  /// Optimistic read-path knobs / counters, fanned to every shard's core
-  /// (see serve/epoch_guard.h). Policies are atomic snapshots — settable
-  /// at any time.
-  void set_optimistic_policy(const OptimisticPolicy& policy);
-  /// Counters summed across shards.
-  OptimisticStats optimistic_stats() const;
-  /// Write pacing, fanned to every shard's core. Shards pace independently:
-  /// each shard's writer gate keys on that shard's own stalled readers and
-  /// sleeps before taking that shard's lock (never inside one), so a paced
-  /// shard cannot delay batches bound for quiet shards.
-  void set_pacing_policy(const PacingPolicy& policy);
-  /// Pacing counters summed across shards.
-  PacingStats pacing_stats() const;
-  /// Retired-but-not-yet-reclaimed batches summed across shards.
-  uint64_t retired_pending() const;
-
   // --- writer API (any number of concurrent callers) -----------------------
 
   /// Splits the batch by object shard and applies the sub-batches in
@@ -122,41 +93,6 @@ class ShardedRelation {
   uint64_t RemoveEdgesBatch(const RelationPairs& edges) {
     return RemovePairsBatch(edges);
   }
-
-  // --- durability (see serve/persistence.h) --------------------------------
-  //
-  // Same layout and contract as ShardedIndex: per-shard snapshot + WAL under
-  // `<dir>/shard-<s>/`, one MANIFEST binding the shard count and backend,
-  // parallel recovery, loud refusal on a mismatched sharding or a bound
-  // shard whose log vanished. Batch writers may run concurrently afterwards
-  // (per-shard WAL work stays inside that shard's exclusive section);
-  // OpenDurable / Checkpoint / SyncWal / CloseDurable require quiescence.
-
-  persist::Status OpenDurable(persist::Env* env, const std::string& dir,
-                              const DurableOptions& opt = {},
-                              RecoveryStats* stats = nullptr);
-  persist::Status Checkpoint();
-  persist::Status SyncWal();
-  persist::Status CloseDurable();
-  bool durable() const { return !logs_.empty(); }
-
-  const char* backend_name() const {
-    return shards_[0]->unsynchronized().backend_name();
-  }
-
-  /// Structural self-check across all shards.
-  void CheckInvariants() const;
-
-  /// Shard s's relation, with no locking. Callers must guarantee quiescence.
-  RelationIndex& unsynchronized_shard(uint32_t s) {
-    return shards_[s]->unsynchronized();
-  }
-
- private:
-  std::vector<std::unique_ptr<EpochGuard<RelationIndex>>> shards_;
-  mutable ThreadPool pool_;
-  /// Per-shard durable logs; empty until OpenDurable (then index = shard).
-  std::vector<std::unique_ptr<serve_persist::DurableLog>> logs_;
 };
 
 }  // namespace dyndex

@@ -1,6 +1,8 @@
 // Memory gate for the static build. A counting global operator new/delete
 // tracks the peak of live heap bytes, and each build step must stay under a
 // per-symbol ceiling — a deterministic check that needs no quiet machine.
+// The same counter gates the one-shard read path: a K = 1 ShardedIndex
+// query is a direct call on its shard and must not touch the heap.
 //
 // Measured (x86-64, glibc, Release; the figures count malloc_usable_size, so
 // they include allocator rounding):
@@ -20,6 +22,8 @@
 #include <vector>
 
 #include "gen/text_gen.h"
+#include "serve/dynamic_index.h"
+#include "serve/sharded_index.h"
 #include "suffix/sais.h"
 #include "text/concat_text.h"
 #include "text/fm_index.h"
@@ -29,9 +33,11 @@ namespace {
 
 std::atomic<int64_t> g_live_bytes{0};
 std::atomic<int64_t> g_peak_bytes{0};
+std::atomic<int64_t> g_allocations{0};
 
 void* Counted(void* p) {
   if (p == nullptr) throw std::bad_alloc();
+  g_allocations.fetch_add(1);
   int64_t size = static_cast<int64_t>(malloc_usable_size(p));
   int64_t live = g_live_bytes.fetch_add(size) + size;
   int64_t peak = g_peak_bytes.load();
@@ -98,6 +104,26 @@ TEST(BuildMemoryTest, FmIndexBuildPeakPerSymbol) {
   RecordProperty("fm_build_peak_bytes_per_symbol", std::to_string(per_symbol));
   EXPECT_EQ(idx.NumRows(), text.size());
   EXPECT_LE(per_symbol, 12.0);
+}
+
+TEST(BuildMemoryTest, OneShardCountAllocatesNothing) {
+  Rng rng(23);
+  DynamicIndexOptions opt;
+  opt.mode = RebuildMode::kSynchronous;
+  ShardedIndex index(1, Backend::kT2, opt);
+  std::vector<std::vector<Symbol>> docs;
+  for (int d = 0; d < 64; ++d) docs.push_back(MarkovText(rng, 200, 16));
+  index.InsertBatch(docs);
+  const std::vector<Symbol> pattern(docs[0].begin() + 10, docs[0].begin() + 14);
+  // Warm up: the first read claims this thread's reader slot.
+  ASSERT_GT(index.Count(pattern), 0u);
+  const int64_t before = g_allocations.load();
+  const uint64_t count = index.Count(pattern);
+  const uint64_t num_docs = index.num_docs();
+  const int64_t allocations = g_allocations.load() - before;
+  EXPECT_GT(count, 0u);
+  EXPECT_EQ(num_docs, docs.size());
+  EXPECT_EQ(allocations, 0) << "a one-shard read must be a direct call";
 }
 
 }  // namespace

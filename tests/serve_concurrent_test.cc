@@ -1,277 +1,43 @@
-// Concurrent serving: N reader threads hammer Count/Locate/Extract on a
-// ConcurrentIndex while one writer applies insert/erase batches and
-// Transformation 2 rebuilds levels on real builder threads.
-//
-// Linearizability check: the whole write script is generated up front, so the
-// collection state after every batch (= every epoch) is known before any
-// thread starts. Each query reports the epoch of the snapshot it observed;
-// the answer must equal the precomputed answer at exactly that epoch. All
-// reader-side comparisons collect failures into a mutex-guarded list (gtest
-// assertions stay on the main thread).
+// Concurrent document serving on the unsharded facade (a one-shard
+// ShardedIndex): N reader threads hammer Count/Locate/Extract while one
+// writer applies insert/erase batches and Transformation 2 rebuilds levels
+// on real builder threads. Each query's answer must equal the precomputed
+// answer at exactly the epoch it reports (tests/serve_concurrent_harness.h);
+// serve_sharded_concurrent_test runs the same scenarios at K = 3.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <map>
-#include <mutex>
-#include <string>
-#include <thread>
-#include <vector>
-
-#include "gen/text_gen.h"
-#include "serve/concurrent_index.h"
-#include "serve/dynamic_index.h"
-#include "tests/model_checker.h"
-#include "util/rng.h"
+#include "tests/serve_concurrent_harness.h"
 
 namespace dyndex {
 namespace {
 
-constexpr int kReaders = 4;
-constexpr uint32_t kSigma = 4;
-constexpr uint32_t kNumImmortal = 6;
-constexpr uint32_t kNumPatterns = 6;
+using serve_harness::RunDocScenario;
 
-struct Batch {
-  bool is_insert = false;
-  std::vector<uint32_t> docs;  // insert: indices into Script::contents
-  std::vector<DocId> erases;   // erase: predicted doc ids
-};
-
-// The full write schedule plus everything readers need, all computed before
-// any thread starts; immutable afterwards.
-struct Script {
-  std::vector<std::vector<Symbol>> contents;  // doc id -> symbols (ids are
-                                              // assigned sequentially)
-  std::vector<Batch> batches;
-  std::vector<std::vector<Symbol>> patterns;
-  // expected[e][p]: sorted occurrences of patterns[p] at epoch e.
-  std::vector<std::vector<std::vector<Occurrence>>> expected;
-};
-
-Script MakeScript(uint64_t seed, int num_batches) {
-  Script s;
-  Rng rng(seed);
-  auto gen_doc = [&](uint64_t max_len) {
-    s.contents.push_back(UniformText(rng, rng.Range(1, max_len), kSigma));
-    return static_cast<uint32_t>(s.contents.size() - 1);
-  };
-  // Batch 0: the immortal docs readers may Extract at any epoch >= 1.
-  Batch first;
-  first.is_insert = true;
-  for (uint32_t i = 0; i < kNumImmortal; ++i) first.docs.push_back(gen_doc(50));
-  s.batches.push_back(std::move(first));
-  std::vector<DocId> mortal_live;
-  for (int b = 1; b < num_batches; ++b) {
-    Batch batch;
-    if (b % 2 == 1 || mortal_live.size() < 2) {
-      batch.is_insert = true;
-      uint32_t k = static_cast<uint32_t>(rng.Range(1, 3));
-      for (uint32_t i = 0; i < k; ++i) {
-        // Mostly small docs; occasionally one big enough to push a level
-        // overflow and with it a background build + swap.
-        batch.docs.push_back(gen_doc(rng.Below(8) == 0 ? 220 : 60));
-        mortal_live.push_back(batch.docs.back());
-      }
-    } else {
-      uint32_t k = static_cast<uint32_t>(rng.Range(1, 2));
-      for (uint32_t i = 0; i < k && !mortal_live.empty(); ++i) {
-        uint64_t pick = rng.Below(mortal_live.size());
-        batch.erases.push_back(mortal_live[pick]);
-        mortal_live.erase(mortal_live.begin() + static_cast<int64_t>(pick));
-      }
-    }
-    s.batches.push_back(std::move(batch));
-  }
-  for (uint32_t p = 0; p < kNumPatterns; ++p) {
-    s.patterns.push_back(
-        SamplePattern(rng, s.contents, rng.Range(1, 4), kSigma));
-  }
-  // Replay the schedule through the reference model: expected answers at
-  // every epoch (epoch e = state after e batches).
-  ReferenceModel model;
-  s.expected.resize(s.batches.size() + 1);
-  auto snapshot = [&](uint64_t epoch) {
-    s.expected[epoch].resize(kNumPatterns);
-    for (uint32_t p = 0; p < kNumPatterns; ++p) {
-      s.expected[epoch][p] = model.Find(s.patterns[p]);
-    }
-  };
-  snapshot(0);
-  for (uint64_t b = 0; b < s.batches.size(); ++b) {
-    const Batch& batch = s.batches[b];
-    for (uint32_t doc : batch.docs) model.Insert(doc, s.contents[doc]);
-    for (DocId id : batch.erases) model.Erase(id);
-    snapshot(b + 1);
-  }
-  return s;
-}
-
-class FailureLog {
- public:
-  void Add(std::string msg) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (failures_.size() < 20) failures_.push_back(std::move(msg));
-  }
-  std::vector<std::string> Take() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return failures_;
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<std::string> failures_;
-};
-
-void ReaderLoop(const ConcurrentIndex& index, const Script& script,
-                uint64_t seed, const std::atomic<bool>& done,
-                FailureLog* failures, uint64_t* queries_run) {
-  Rng rng(seed);
-  uint64_t n = 0;
-  while (!done.load(std::memory_order_acquire)) {
-    uint32_t p = static_cast<uint32_t>(rng.Below(kNumPatterns));
-    uint64_t epoch = 0;
-    switch (rng.Below(3)) {
-      case 0: {
-        auto got = index.Locate(script.patterns[p], &epoch);
-        std::sort(got.begin(), got.end());
-        if (got != script.expected[epoch][p]) {
-          failures->Add("Locate mismatch: pattern " + std::to_string(p) +
-                        " at epoch " + std::to_string(epoch) + ": got " +
-                        std::to_string(got.size()) + " occs, want " +
-                        std::to_string(script.expected[epoch][p].size()));
-        }
-        break;
-      }
-      case 1: {
-        uint64_t got = index.Count(script.patterns[p], &epoch);
-        uint64_t want = script.expected[epoch][p].size();
-        if (got != want) {
-          failures->Add("Count mismatch: pattern " + std::to_string(p) +
-                        " at epoch " + std::to_string(epoch) + ": got " +
-                        std::to_string(got) + ", want " +
-                        std::to_string(want));
-        }
-        break;
-      }
-      default: {
-        DocId id = rng.Below(kNumImmortal);
-        const auto& want = script.contents[id];
-        std::vector<Symbol> got;
-        bool present = index.Extract(id, 0, want.size(), &got, &epoch);
-        if (epoch >= 1) {
-          if (!present) {
-            failures->Add("Extract: immortal doc " + std::to_string(id) +
-                          " absent at epoch " + std::to_string(epoch));
-          } else if (got != want) {
-            failures->Add("Extract mismatch: doc " + std::to_string(id) +
-                          " at epoch " + std::to_string(epoch));
-          }
-        }
-        break;
-      }
-    }
-    ++n;
-  }
-  *queries_run = n;
-}
-
-void RunConcurrentScenario(std::unique_ptr<DynamicIndex> backend,
-                           uint64_t seed, int num_batches) {
-  Script script = MakeScript(seed, num_batches);
-  ConcurrentIndex index(std::move(backend));
-  FailureLog failures;
-  std::atomic<bool> done{false};
-  std::vector<std::thread> readers;
-  std::vector<uint64_t> query_counts(kReaders, 0);
-  for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back(ReaderLoop, std::cref(index), std::cref(script),
-                         seed * 1000 + r, std::cref(done), &failures,
-                         &query_counts[r]);
-  }
-  // Writer: apply the script, checking the predicted ids; yield a little so
-  // readers overlap with many distinct epochs and in-flight rebuilds.
-  DocId next_id = 0;
-  for (const Batch& batch : script.batches) {
-    if (batch.is_insert) {
-      std::vector<std::vector<Symbol>> docs;
-      for (uint32_t doc : batch.docs) docs.push_back(script.contents[doc]);
-      std::vector<DocId> ids = index.InsertBatch(std::move(docs));
-      for (uint64_t i = 0; i < ids.size(); ++i) {
-        if (ids[i] != next_id + i) {
-          failures.Add("unexpected id " + std::to_string(ids[i]));
-        }
-      }
-      next_id += ids.size();
-    } else {
-      uint64_t erased = index.EraseBatch(batch.erases);
-      if (erased != batch.erases.size()) {
-        failures.Add("EraseBatch erased " + std::to_string(erased) + " of " +
-                     std::to_string(batch.erases.size()));
-      }
-    }
-    index.Poll();  // publish finished rebuilds between batches
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  done.store(true, std::memory_order_release);
-  for (auto& t : readers) t.join();
-  for (const std::string& f : failures.Take()) ADD_FAILURE() << f;
-  uint64_t total_queries = 0;
-  for (uint64_t c : query_counts) total_queries += c;
-  EXPECT_GT(total_queries, 0u);
-  // Quiesce and verify the final state exhaustively against the model.
-  index.Flush();
-  uint64_t final_epoch = index.epoch();
-  ASSERT_EQ(final_epoch, script.batches.size());
-  for (uint32_t p = 0; p < kNumPatterns; ++p) {
-    auto got = index.Locate(script.patterns[p]);
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, script.expected[final_epoch][p]) << "pattern " << p;
-  }
-  index.unsynchronized().CheckInvariants();
-}
-
-DynamicIndexOptions SmallServeOptions(RebuildMode mode) {
-  DynamicIndexOptions opt;
-  opt.min_c0 = 64;  // frequent level overflows -> many background builds
-  opt.tau = 4;
-  opt.mode = mode;
-  return opt;
-}
+constexpr uint32_t kOneShard = 1;
 
 // The headline scenario: readers against Transformation 2 with real builder
 // threads, so queries overlap lock/build/swap/replay at every stage.
 TEST(ServeConcurrent, ReadersDuringThreadedRebuilds) {
-  RunConcurrentScenario(
-      MakeDynamicIndex(Backend::kT2, SmallServeOptions(RebuildMode::kThreaded)),
-      42, 90);
+  RunDocScenario(kOneShard, Backend::kT2, RebuildMode::kThreaded, 42, 90);
 }
 
 TEST(ServeConcurrent, ReadersDuringSynchronousRebuilds) {
-  RunConcurrentScenario(MakeDynamicIndex(Backend::kT2, SmallServeOptions(
-                                                  RebuildMode::kSynchronous)),
-                        43, 90);
+  RunDocScenario(kOneShard, Backend::kT2, RebuildMode::kSynchronous, 43, 90);
 }
 
 TEST(ServeConcurrent, ReadersOverTransformation1) {
-  RunConcurrentScenario(MakeDynamicIndex(Backend::kT1, SmallServeOptions(
-                                                  RebuildMode::kSynchronous)),
-                        44, 70);
+  RunDocScenario(kOneShard, Backend::kT1, RebuildMode::kSynchronous, 44, 70);
 }
 
 TEST(ServeConcurrent, ReadersOverBaseline) {
-  RunConcurrentScenario(MakeDynamicIndex(Backend::kBaseline,
-                                         SmallServeOptions(
-                                             RebuildMode::kSynchronous)),
-                        45, 70);
+  RunDocScenario(kOneShard, Backend::kBaseline, RebuildMode::kSynchronous, 45,
+                 70);
 }
 
 // A second threaded-T2 run with a different seed: more erase pressure on the
 // deletion-replay path (deletions racing in-flight builds).
 TEST(ServeConcurrent, ThreadedRebuildsSecondSeed) {
-  RunConcurrentScenario(
-      MakeDynamicIndex(Backend::kT2, SmallServeOptions(RebuildMode::kThreaded)),
-      1337, 110);
+  RunDocScenario(kOneShard, Backend::kT2, RebuildMode::kThreaded, 1337, 110);
 }
 
 }  // namespace

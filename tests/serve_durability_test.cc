@@ -1,8 +1,9 @@
-// Durability plumbing of the serving facades: ConcurrentIndex /
-// ConcurrentRelation and their sharded siblings bound to a MemEnv directory
-// — batch logging, checkpointing, crash-and-reopen recovery, the group-commit
-// window, and the loud-refusal paths (mismatched backend, mismatched shard
-// count, corrupt snapshot, vanished shard state).
+// Durability plumbing of the serving facades: ShardedIndex / ShardedRelation
+// bound to a MemEnv directory, at K = 1 (the unsharded case, state under
+// db/shard-0/) and at K >= 2 — batch logging, checkpointing, crash-and-reopen
+// recovery, the group-commit window, and the loud-refusal paths (mismatched
+// backend, mismatched shard count, corrupt snapshot, vanished shard state,
+// a single-core directory, a foreign record kind in a core's WAL).
 
 #include <cstdint>
 #include <map>
@@ -14,9 +15,8 @@
 #include "gtest/gtest.h"
 #include "persist/env.h"
 #include "persist/status.h"
-#include "serve/concurrent_index.h"
-#include "serve/concurrent_relation.h"
 #include "serve/dynamic_index.h"
+#include "serve/epoch_guard.h"
 #include "serve/persistence.h"
 #include "serve/relation_index.h"
 #include "serve/sharded_index.h"
@@ -55,7 +55,7 @@ TEST_P(IndexDurabilityTest, RoundTripThroughCrash) {
   MemEnv env;
   std::map<DocId, std::vector<Symbol>> model;
   {
-    ConcurrentIndex index(MakeDynamicIndex(GetParam()));
+    ShardedIndex index(1, GetParam());
     ASSERT_TRUE(index.OpenDurable(&env, "db").ok());
     EXPECT_TRUE(index.durable());
     for (int batch = 0; batch < 3; ++batch) {
@@ -72,13 +72,13 @@ TEST_P(IndexDurabilityTest, RoundTripThroughCrash) {
     // No CloseDurable: the facade just vanishes, as in a crash. Every batch
     // was synced (default group-commit window of 1), so nothing may be lost.
   }
-  ConcurrentIndex reopened(MakeDynamicIndex(GetParam()));
+  ShardedIndex reopened(1, GetParam());
   RecoveryStats stats;
   ASSERT_TRUE(reopened.OpenDurable(&env, "db", {}, &stats).ok());
   EXPECT_FALSE(stats.snapshot_loaded);
   EXPECT_EQ(stats.replayed_batches, 4u);  // 3 inserts + 1 erase
   EXPECT_EQ(stats.dropped_wal_bytes, 0u);
-  EXPECT_EQ(reopened.epoch(), 4u);
+  EXPECT_EQ(reopened.epochs()[0], 4u);
   ExpectServes(reopened, model);
   // The recovered facade keeps logging: a post-recovery batch must survive
   // the next reopen too.
@@ -88,7 +88,7 @@ TEST_P(IndexDurabilityTest, RoundTripThroughCrash) {
   ASSERT_TRUE(reopened.CloseDurable().ok());
   EXPECT_FALSE(reopened.durable());
 
-  ConcurrentIndex again(MakeDynamicIndex(GetParam()));
+  ShardedIndex again(1, GetParam());
   ASSERT_TRUE(again.OpenDurable(&env, "db", {}, &stats).ok());
   EXPECT_EQ(stats.replayed_batches, 5u);
   ExpectServes(again, model);
@@ -98,7 +98,7 @@ TEST_P(IndexDurabilityTest, CheckpointCutsTheReplayTail) {
   MemEnv env;
   std::map<DocId, std::vector<Symbol>> model;
   {
-    ConcurrentIndex index(MakeDynamicIndex(GetParam()));
+    ShardedIndex index(1, GetParam());
     ASSERT_TRUE(index.OpenDurable(&env, "db").ok());
     for (int batch = 0; batch < 4; ++batch) {
       std::vector<DocId> ids = index.InsertBatch({Doc(batch, 8)});
@@ -108,7 +108,7 @@ TEST_P(IndexDurabilityTest, CheckpointCutsTheReplayTail) {
       }
     }
   }
-  ConcurrentIndex reopened(MakeDynamicIndex(GetParam()));
+  ShardedIndex reopened(1, GetParam());
   RecoveryStats stats;
   ASSERT_TRUE(reopened.OpenDurable(&env, "db", {}, &stats).ok());
   EXPECT_TRUE(stats.snapshot_loaded);
@@ -127,7 +127,7 @@ TEST_P(IndexDurabilityTest, GroupCommitWindowLosesOnlyTheUnsyncedTail) {
   DurableOptions opt;
   opt.sync_every_batches = 3;
   {
-    ConcurrentIndex index(MakeDynamicIndex(GetParam()));
+    ShardedIndex index(1, GetParam());
     ASSERT_TRUE(index.OpenDurable(&env, "db", opt).ok());
     for (int batch = 0; batch < 5; ++batch) {
       index.InsertBatch({Doc(batch, 8)});
@@ -135,7 +135,7 @@ TEST_P(IndexDurabilityTest, GroupCommitWindowLosesOnlyTheUnsyncedTail) {
     // Batches 1-3 hit the window and synced; 4-5 sit in the page cache.
     env.SimulateCrash();
   }
-  ConcurrentIndex reopened(MakeDynamicIndex(GetParam()));
+  ShardedIndex reopened(1, GetParam());
   RecoveryStats stats;
   ASSERT_TRUE(reopened.OpenDurable(&env, "db", opt, &stats).ok());
   EXPECT_EQ(stats.replayed_batches, 3u);
@@ -147,13 +147,13 @@ TEST_P(IndexDurabilityTest, SyncWalNarrowsTheLossWindowToZero) {
   DurableOptions opt;
   opt.sync_every_batches = 100;  // effectively manual
   {
-    ConcurrentIndex index(MakeDynamicIndex(GetParam()));
+    ShardedIndex index(1, GetParam());
     ASSERT_TRUE(index.OpenDurable(&env, "db", opt).ok());
     index.InsertBatch({Doc(0, 8), Doc(1, 8)});
     ASSERT_TRUE(index.SyncWal().ok());
     env.SimulateCrash();
   }
-  ConcurrentIndex reopened(MakeDynamicIndex(GetParam()));
+  ShardedIndex reopened(1, GetParam());
   ASSERT_TRUE(reopened.OpenDurable(&env, "db", opt).ok());
   EXPECT_EQ(reopened.num_docs(), 2u);
 }
@@ -165,7 +165,7 @@ TEST_P(IndexDurabilityTest, ColdBulkBatchReplaysFromTheWalAlone) {
   MemEnv env;
   std::map<DocId, std::vector<Symbol>> model;
   {
-    ConcurrentIndex index(MakeDynamicIndex(GetParam()));
+    ShardedIndex index(1, GetParam());
     ASSERT_TRUE(index.OpenDurable(&env, "db").ok());
     std::vector<std::vector<Symbol>> docs;
     for (int d = 0; d < 80; ++d) docs.push_back(Doc(d, 64));
@@ -174,7 +174,7 @@ TEST_P(IndexDurabilityTest, ColdBulkBatchReplaysFromTheWalAlone) {
     for (size_t d = 0; d < docs.size(); ++d) model[ids[d]] = docs[d];
     env.SimulateCrash();  // no checkpoint: the WAL record is all there is
   }
-  ConcurrentIndex reopened(MakeDynamicIndex(GetParam()));
+  ShardedIndex reopened(1, GetParam());
   RecoveryStats stats;
   ASSERT_TRUE(reopened.OpenDurable(&env, "db", {}, &stats).ok());
   EXPECT_FALSE(stats.snapshot_loaded);
@@ -196,27 +196,37 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, IndexDurabilityTest,
 TEST(IndexDurabilityRefusalTest, BackendMismatchIsLoud) {
   MemEnv env;
   {
-    ConcurrentIndex index(MakeDynamicIndex(Backend::kT1));
+    ShardedIndex index(1, Backend::kT1);
     ASSERT_TRUE(index.OpenDurable(&env, "db").ok());
     index.InsertBatch({Doc(0, 8)});
     ASSERT_TRUE(index.Checkpoint().ok());
   }
-  ConcurrentIndex other(MakeDynamicIndex(Backend::kBaseline));
+  ShardedIndex other(1, Backend::kBaseline);
   persist::Status s = other.OpenDurable(&env, "db");
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
   EXPECT_FALSE(other.durable());
+  // The MANIFEST refuses the facade first, so open the shard's core
+  // directly: the snapshot's own meta must refuse a foreign backend too.
+  EpochGuard<DynamicIndex> core(MakeDynamicIndex(Backend::kBaseline));
+  std::unique_ptr<serve_persist::DurableLog> log;
+  s = serve_persist::OpenDurableCore(&env, "db/shard-0", {}, core, &log,
+                                     nullptr);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_NE(s.ToString().find(BackendName(Backend::kT1)), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(log, nullptr);
 }
 
 TEST(IndexDurabilityRefusalTest, CorruptSnapshotIsLoudNotEmpty) {
   MemEnv env;
   {
-    ConcurrentIndex index(MakeDynamicIndex(Backend::kT1));
+    ShardedIndex index(1, Backend::kT1);
     ASSERT_TRUE(index.OpenDurable(&env, "db").ok());
     index.InsertBatch({Doc(0, 64)});
     ASSERT_TRUE(index.Checkpoint().ok());
   }
-  ASSERT_TRUE(env.CorruptByte("db/SNAPSHOT", 40, 0x08).ok());
-  ConcurrentIndex reopened(MakeDynamicIndex(Backend::kT1));
+  ASSERT_TRUE(env.CorruptByte("db/shard-0/SNAPSHOT", 40, 0x08).ok());
+  ShardedIndex reopened(1, Backend::kT1);
   persist::Status s = reopened.OpenDurable(&env, "db");
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   EXPECT_EQ(reopened.num_docs(), 0u);
@@ -226,12 +236,17 @@ TEST(IndexDurabilityRefusalTest, CorruptSnapshotIsLoudNotEmpty) {
 TEST(IndexDurabilityRefusalTest, RelationWalInAnIndexDirIsLoud) {
   MemEnv env;
   {
-    ConcurrentRelation relation(MakeRelationIndex(RelationBackend::kBaseline));
+    ShardedRelation relation(1, RelationBackend::kBaseline);
     ASSERT_TRUE(relation.OpenDurable(&env, "db").ok());
     relation.AddPairsBatch({{1, 2}});
   }
-  ConcurrentIndex index(MakeDynamicIndex(Backend::kT1));
-  persist::Status s = index.OpenDurable(&env, "db");
+  // The MANIFEST refuses the facade first (IndexManifestRefusedByRelation
+  // checks the mirror case), so open the shard's core directly: a relation
+  // record replayed into an index core is corruption.
+  EpochGuard<DynamicIndex> core(MakeDynamicIndex(Backend::kT1));
+  std::unique_ptr<serve_persist::DurableLog> log;
+  persist::Status s = serve_persist::OpenDurableCore(&env, "db/shard-0", {},
+                                                     core, &log, nullptr);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
@@ -242,7 +257,7 @@ TEST_P(RelationDurabilityTest, RoundTripThroughCrash) {
   MemEnv env;
   RelationPairs live;
   {
-    ConcurrentRelation relation(MakeRelationIndex(GetParam()));
+    ShardedRelation relation(1, GetParam());
     ASSERT_TRUE(relation.OpenDurable(&env, "db").ok());
     EXPECT_EQ(relation.AddPairsBatch({{1, 10}, {1, 11}, {2, 10}, {3, 12}}),
               4u);
@@ -250,7 +265,7 @@ TEST_P(RelationDurabilityTest, RoundTripThroughCrash) {
     EXPECT_EQ(relation.AddPairsBatch({{4, 13}}), 1u);
     live = {{1, 10}, {2, 10}, {3, 12}, {4, 13}};
   }
-  ConcurrentRelation reopened(MakeRelationIndex(GetParam()));
+  ShardedRelation reopened(1, GetParam());
   RecoveryStats stats;
   ASSERT_TRUE(reopened.OpenDurable(&env, "db", {}, &stats).ok());
   EXPECT_EQ(stats.replayed_batches, 3u);
@@ -266,14 +281,14 @@ TEST_P(RelationDurabilityTest, RoundTripThroughCrash) {
 TEST_P(RelationDurabilityTest, CheckpointCompactsRemovals) {
   MemEnv env;
   {
-    ConcurrentRelation relation(MakeRelationIndex(GetParam()));
+    ShardedRelation relation(1, GetParam());
     ASSERT_TRUE(relation.OpenDurable(&env, "db").ok());
     relation.AddPairsBatch({{1, 10}, {2, 20}, {3, 30}});
     relation.RemovePairsBatch({{2, 20}});
     ASSERT_TRUE(relation.Checkpoint().ok());
     relation.AddPairsBatch({{5, 50}});
   }
-  ConcurrentRelation reopened(MakeRelationIndex(GetParam()));
+  ShardedRelation reopened(1, GetParam());
   RecoveryStats stats;
   ASSERT_TRUE(reopened.OpenDurable(&env, "db", {}, &stats).ok());
   EXPECT_TRUE(stats.snapshot_loaded);
@@ -446,6 +461,87 @@ TEST(ShardedRelationDurabilityTest, IndexManifestRefusedByRelation) {
   ShardedRelation relation(2, RelationBackend::kTheorem2);
   persist::Status s = relation.OpenDurable(&env, "db");
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+}
+
+// --- single-core directories ----------------------------------------------
+//
+// A directory whose state sits directly in <dir>/WAL and <dir>/SNAPSHOT (one
+// core, no MANIFEST) must be refused by a sharded facade, not shadowed by a
+// fresh, empty sharded store written beside it.
+
+std::string ReadFile(MemEnv& env, const std::string& path) {
+  std::unique_ptr<persist::RandomAccessFile> file;
+  uint64_t size = 0;
+  std::string out;
+  EXPECT_TRUE(env.NewRandomAccessFile(path, &file).ok()) << path;
+  EXPECT_TRUE(env.GetFileSize(path, &size).ok()) << path;
+  EXPECT_TRUE(file->Read(0, size, &out).ok()) << path;
+  return out;
+}
+
+/// Writes a single-core layout at `dir` through the core-level open: one
+/// logged batch, a checkpoint, and one more logged batch.
+template <typename B, typename Apply>
+void WriteSingleCoreLayout(MemEnv& env, const std::string& dir,
+                           std::unique_ptr<B> backend, const Apply& apply,
+                           const std::string& payload) {
+  EpochGuard<B> core(std::move(backend));
+  std::unique_ptr<serve_persist::DurableLog> log;
+  ASSERT_TRUE(
+      serve_persist::OpenDurableCore(&env, dir, {}, core, &log, nullptr).ok());
+  for (int batch = 0; batch < 2; ++batch) {
+    core.Write([&](B& b) {
+      apply(b);
+      log->writer_role().AssertHeld();
+      log->LogApplied(payload);
+    });
+    log->writer_role().AssertHeld();
+    ASSERT_TRUE(log->Sync().ok());
+    if (batch == 0) {
+      ASSERT_TRUE(serve_persist::CheckpointCore(core, *log).ok());
+    }
+  }
+  log->writer_role().AssertHeld();
+  ASSERT_TRUE(log->Close().ok());
+}
+
+template <typename Facade>
+void ExpectSingleCoreLayoutRefused(MemEnv& env, Facade& facade) {
+  const std::string wal = ReadFile(env, "db/WAL");
+  const std::string snapshot = ReadFile(env, "db/SNAPSHOT");
+  persist::Status s = facade.OpenDurable(&env, "db");
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_NE(s.ToString().find("single-core"), std::string::npos)
+      << s.ToString();
+  EXPECT_FALSE(facade.durable());
+  EXPECT_FALSE(env.FileExists("db/MANIFEST"));
+  EXPECT_FALSE(env.FileExists("db/shard-0/WAL"));
+  EXPECT_EQ(ReadFile(env, "db/WAL"), wal);
+  EXPECT_EQ(ReadFile(env, "db/SNAPSHOT"), snapshot);
+}
+
+TEST(SingleCoreLayoutTest, ShardedIndexRefusesIt) {
+  MemEnv env;
+  const std::vector<std::vector<Symbol>> docs = {Doc(0, 8), Doc(1, 8)};
+  WriteSingleCoreLayout(
+      env, "db", MakeDynamicIndex(Backend::kT1),
+      [&](DynamicIndex& idx) { idx.InsertBulk(docs); },
+      serve_persist::EncodeInsertBatch(docs));
+  ShardedIndex index(1, Backend::kT1);
+  ExpectSingleCoreLayoutRefused(env, index);
+  EXPECT_EQ(index.num_docs(), 0u);
+}
+
+TEST(SingleCoreLayoutTest, ShardedRelationRefusesIt) {
+  MemEnv env;
+  const RelationPairs pairs = {{1, 2}, {3, 4}};
+  WriteSingleCoreLayout(
+      env, "db", MakeRelationIndex(RelationBackend::kTheorem2),
+      [&](RelationIndex& rel) { rel.AddPairsBulk(pairs); },
+      serve_persist::EncodePairsBatch(serve_persist::WalOp::kAddPairs, pairs));
+  ShardedRelation relation(1, RelationBackend::kTheorem2);
+  ExpectSingleCoreLayoutRefused(env, relation);
+  EXPECT_EQ(relation.num_pairs(), 0u);
 }
 
 }  // namespace

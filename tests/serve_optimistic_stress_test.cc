@@ -19,9 +19,9 @@
 #include <vector>
 
 #include "gen/text_gen.h"
-#include "serve/concurrent_index.h"
 #include "serve/dynamic_index.h"
 #include "serve/epoch_guard.h"
+#include "serve/sharded_index.h"
 #include "util/rng.h"
 #include "util/seq_hash_map.h"
 
@@ -228,9 +228,9 @@ TEST(ServeOptimisticStress, RetireWithNoReaderFreesAtSectionEnd) {
 
 // --- full stack under a tiny retry budget ------------------------------------
 
-/// Immortal-document extraction against ConcurrentIndex while a writer churns
-/// batches, with max_attempts=1 so validation failures exercise the fallback
-/// path through the whole T2 backend stack.
+/// Immortal-document extraction against a one-shard ShardedIndex while a
+/// writer churns batches, with max_attempts=1 so validation failures
+/// exercise the fallback path through the whole T2 backend stack.
 TEST(ServeOptimisticStress, IndexChurnTinyBudget) {
   constexpr uint32_t kSigma = 4;
   constexpr uint32_t kNumImmortal = 4;
@@ -242,7 +242,7 @@ TEST(ServeOptimisticStress, IndexChurnTinyBudget) {
   DynamicIndexOptions opt;
   opt.min_c0 = 64;
   opt.mode = RebuildMode::kThreaded;
-  ConcurrentIndex index(MakeDynamicIndex(Backend::kT2, opt));
+  ShardedIndex index(1, Backend::kT2, opt);
   OptimisticPolicy policy;
   policy.max_attempts = 1;
   index.set_optimistic_policy(policy);
@@ -284,7 +284,7 @@ TEST(ServeOptimisticStress, IndexChurnTinyBudget) {
   const OptimisticStats stats = index.optimistic_stats();
   EXPECT_GT(stats.attempts, 0u);
   index.Flush();
-  index.unsynchronized().CheckInvariants();
+  index.CheckInvariants();
 }
 
 // --- starvation regression under a continuous writer -------------------------
@@ -302,7 +302,7 @@ TEST(ServeOptimisticStress, PacedWriterNeverStarvesValidatedReaders) {
   DynamicIndexOptions opt;
   opt.min_c0 = 64;
   opt.mode = RebuildMode::kThreaded;
-  ConcurrentIndex index(MakeDynamicIndex(Backend::kT2, opt));
+  ShardedIndex index(1, Backend::kT2, opt);
   std::vector<std::vector<Symbol>> docs;
   for (int i = 0; i < 8; ++i) {
     docs.push_back(UniformText(rng, rng.Range(16, 64), kSigma));
@@ -366,7 +366,7 @@ TEST(ServeOptimisticStress, PacedWriterNeverStarvesValidatedReaders) {
   EXPECT_GE(stats.validated, 64u);  // the floor: readers ran lock-free
   EXPECT_GT(index.pacing_stats().waits, 0u);  // the writer really was paced
   index.Flush();
-  index.unsynchronized().CheckInvariants();
+  index.CheckInvariants();
 }
 
 }  // namespace

@@ -1,283 +1,31 @@
-// Concurrent relation serving: N reader threads hammer Related/LabelsOf/
-// ObjectsOf/counting queries on a ConcurrentRelation while one writer
-// applies AddPairsBatch/RemovePairsBatch batches.
-//
-// Linearizability check (same discipline as serve_concurrent_test.cc, on the
-// same serving core): the whole write script is generated up front, so the
-// relation state after every batch (= every epoch) is known before any
-// thread starts. Each query reports the epoch of the snapshot it observed;
-// the answer must equal the precomputed answer at exactly that epoch. All
-// reader-side comparisons collect failures into a mutex-guarded list (gtest
-// assertions stay on the main thread).
+// Concurrent relation serving on the unsharded facade (a one-shard
+// ShardedRelation): N reader threads hammer Related/LabelsOf/ObjectsOf,
+// their counting twins and num_pairs while one writer applies
+// AddPairsBatch/RemovePairsBatch batches. Each query's answer must equal the
+// precomputed answer at exactly the epoch it reports, and every batch's
+// applied count must match (tests/serve_concurrent_harness.h);
+// serve_sharded_concurrent_test runs the same scenarios at K = 3.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <memory>
-#include <mutex>
-#include <set>
-#include <string>
-#include <thread>
-#include <utility>
-#include <vector>
-
-#include "serve/concurrent_relation.h"
-#include "serve/relation_index.h"
-#include "util/rng.h"
+#include "tests/serve_concurrent_harness.h"
 
 namespace dyndex {
 namespace {
 
-constexpr int kReaders = 4;
-constexpr uint32_t kObjects = 48;
-constexpr uint32_t kLabels = 40;
+using serve_harness::RunRelationScenario;
 
-struct RelBatch {
-  bool is_add = false;
-  RelationPairs pairs;
-  uint64_t expected_applied = 0;  // #new on add, #removed on remove
-};
-
-/// Per-epoch expected answers for the fixed probe set.
-struct EpochState {
-  std::vector<bool> related;                        // per probe pair
-  std::vector<std::vector<uint32_t>> labels_of;     // per probe object, sorted
-  std::vector<std::vector<uint32_t>> objects_of;    // per probe label, sorted
-  uint64_t num_pairs = 0;
-};
-
-// The full write schedule plus everything readers need, all computed before
-// any thread starts; immutable afterwards.
-struct RelScript {
-  std::vector<RelBatch> batches;
-  std::vector<std::pair<uint32_t, uint32_t>> probe_pairs;
-  std::vector<uint32_t> probe_objects;
-  std::vector<uint32_t> probe_labels;
-  std::vector<EpochState> expected;  // expected[e] = state after e batches
-};
-
-RelScript MakeRelScript(uint64_t seed, int num_batches) {
-  RelScript s;
-  Rng rng(seed);
-  for (int i = 0; i < 10; ++i) {
-    s.probe_pairs.push_back({static_cast<uint32_t>(rng.Below(kObjects)),
-                             static_cast<uint32_t>(rng.Below(kLabels))});
-    s.probe_objects.push_back(static_cast<uint32_t>(rng.Below(kObjects)));
-    s.probe_labels.push_back(static_cast<uint32_t>(rng.Below(kLabels)));
-  }
-  std::set<std::pair<uint32_t, uint32_t>> model;
-  auto snapshot = [&] {
-    EpochState st;
-    st.num_pairs = model.size();
-    for (auto [o, a] : s.probe_pairs) {
-      st.related.push_back(model.count({o, a}) > 0);
-    }
-    for (uint32_t o : s.probe_objects) {
-      std::vector<uint32_t> labels;
-      for (auto [oo, aa] : model) {
-        if (oo == o) labels.push_back(aa);
-      }
-      st.labels_of.push_back(std::move(labels));
-    }
-    for (uint32_t a : s.probe_labels) {
-      std::vector<uint32_t> objects;
-      for (auto [oo, aa] : model) {
-        if (aa == a) objects.push_back(oo);
-      }
-      st.objects_of.push_back(std::move(objects));
-    }
-    s.expected.push_back(std::move(st));
-  };
-  snapshot();  // epoch 0: empty
-  for (int b = 0; b < num_batches; ++b) {
-    RelBatch batch;
-    // Batch 0 is a large cold-start add (the bulk promotion path); later
-    // batches alternate adds and removes with overlap against live pairs.
-    batch.is_add = b == 0 || b % 3 != 0;
-    if (batch.is_add) {
-      uint64_t n = b == 0 ? 300 : rng.Below(30) + 1;
-      for (uint64_t i = 0; i < n; ++i) {
-        uint32_t o = static_cast<uint32_t>(rng.Below(kObjects));
-        uint32_t a = static_cast<uint32_t>(rng.Below(kLabels));
-        batch.pairs.push_back({o, a});
-        batch.expected_applied += model.insert({o, a}).second ? 1 : 0;
-      }
-    } else {
-      uint64_t n = rng.Below(20) + 1;
-      for (uint64_t i = 0; i < n && !model.empty(); ++i) {
-        if (rng.Below(4) == 0) {  // occasionally a miss
-          uint32_t o = static_cast<uint32_t>(rng.Below(kObjects));
-          uint32_t a = static_cast<uint32_t>(rng.Below(kLabels));
-          batch.pairs.push_back({o, a});
-          batch.expected_applied += model.erase({o, a});
-        } else {
-          auto it = model.begin();
-          std::advance(it, static_cast<int64_t>(rng.Below(model.size())));
-          batch.pairs.push_back(*it);
-          model.erase(it);
-          ++batch.expected_applied;
-        }
-      }
-    }
-    s.batches.push_back(std::move(batch));
-    snapshot();
-  }
-  return s;
-}
-
-class FailureLog {
- public:
-  void Add(std::string msg) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (failures_.size() < 20) failures_.push_back(std::move(msg));
-  }
-  std::vector<std::string> Take() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return failures_;
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<std::string> failures_;
-};
-
-void ReaderLoop(const ConcurrentRelation& rel, const RelScript& script,
-                uint64_t seed, const std::atomic<bool>& done,
-                FailureLog* failures, uint64_t* queries_run) {
-  Rng rng(seed);
-  uint64_t n = 0;
-  while (!done.load(std::memory_order_acquire)) {
-    uint32_t p = static_cast<uint32_t>(rng.Below(script.probe_pairs.size()));
-    uint64_t epoch = 0;
-    switch (rng.Below(4)) {
-      case 0: {
-        bool got = rel.Related(script.probe_pairs[p].first,
-                               script.probe_pairs[p].second, &epoch);
-        if (got != script.expected[epoch].related[p]) {
-          failures->Add("Related mismatch: probe " + std::to_string(p) +
-                        " at epoch " + std::to_string(epoch));
-        }
-        break;
-      }
-      case 1: {
-        auto got = rel.LabelsOf(script.probe_objects[p], &epoch);
-        std::sort(got.begin(), got.end());
-        const auto& want = script.expected[epoch].labels_of[p];
-        if (got != want) {
-          failures->Add("LabelsOf mismatch: object " +
-                        std::to_string(script.probe_objects[p]) +
-                        " at epoch " + std::to_string(epoch) + ": got " +
-                        std::to_string(got.size()) + " labels, want " +
-                        std::to_string(want.size()));
-        }
-        if (rel.CountLabelsOf(script.probe_objects[p], &epoch) !=
-            script.expected[epoch].labels_of[p].size()) {
-          failures->Add("CountLabelsOf mismatch at epoch " +
-                        std::to_string(epoch));
-        }
-        break;
-      }
-      case 2: {
-        auto got = rel.ObjectsOf(script.probe_labels[p], &epoch);
-        std::sort(got.begin(), got.end());
-        const auto& want = script.expected[epoch].objects_of[p];
-        if (got != want) {
-          failures->Add("ObjectsOf mismatch: label " +
-                        std::to_string(script.probe_labels[p]) +
-                        " at epoch " + std::to_string(epoch));
-        }
-        if (rel.CountObjectsOf(script.probe_labels[p], &epoch) !=
-            script.expected[epoch].objects_of[p].size()) {
-          failures->Add("CountObjectsOf mismatch at epoch " +
-                        std::to_string(epoch));
-        }
-        break;
-      }
-      default: {
-        uint64_t got = rel.num_pairs(&epoch);
-        if (got != script.expected[epoch].num_pairs) {
-          failures->Add("num_pairs mismatch at epoch " +
-                        std::to_string(epoch) + ": got " +
-                        std::to_string(got) + ", want " +
-                        std::to_string(script.expected[epoch].num_pairs));
-        }
-        break;
-      }
-    }
-    ++n;
-  }
-  *queries_run = n;
-}
-
-void RunConcurrentRelationScenario(std::unique_ptr<RelationIndex> backend,
-                                   uint64_t seed, int num_batches) {
-  RelScript script = MakeRelScript(seed, num_batches);
-  ConcurrentRelation rel(std::move(backend));
-  FailureLog failures;
-  std::atomic<bool> done{false};
-  std::vector<std::thread> readers;
-  std::vector<uint64_t> query_counts(kReaders, 0);
-  for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back(ReaderLoop, std::cref(rel), std::cref(script),
-                         seed * 1000 + r, std::cref(done), &failures,
-                         &query_counts[r]);
-  }
-  // Writer: apply the script, checking the predicted counts; yield a little
-  // so readers overlap with many distinct epochs.
-  for (const RelBatch& batch : script.batches) {
-    uint64_t applied = batch.is_add ? rel.AddPairsBatch(batch.pairs)
-                                    : rel.RemovePairsBatch(batch.pairs);
-    if (applied != batch.expected_applied) {
-      failures.Add(std::string(batch.is_add ? "Add" : "Remove") +
-                   "PairsBatch applied " + std::to_string(applied) +
-                   ", want " + std::to_string(batch.expected_applied));
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  done.store(true, std::memory_order_release);
-  for (auto& t : readers) t.join();
-  for (const std::string& f : failures.Take()) ADD_FAILURE() << f;
-  uint64_t total_queries = 0;
-  for (uint64_t c : query_counts) total_queries += c;
-  EXPECT_GT(total_queries, 0u);
-  // Quiesce and verify the final state exhaustively against the model.
-  uint64_t final_epoch = rel.epoch();
-  ASSERT_EQ(final_epoch, script.batches.size());
-  const EpochState& want = script.expected[final_epoch];
-  EXPECT_EQ(rel.num_pairs(), want.num_pairs);
-  for (uint32_t p = 0; p < script.probe_objects.size(); ++p) {
-    auto got = rel.LabelsOf(script.probe_objects[p]);
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, want.labels_of[p]) << "probe object " << p;
-  }
-  rel.unsynchronized().CheckInvariants();
-}
-
-RelationIndexOptions SmallRelOptions() {
-  RelationIndexOptions opt;
-  opt.min_c0 = 32;  // frequent merges/purges while readers are live
-  opt.tau = 3;
-  opt.baseline_max_objects = kObjects;
-  opt.baseline_max_labels = kLabels;
-  return opt;
-}
+constexpr uint32_t kOneShard = 1;
 
 TEST(ServeRelationConcurrent, ReadersOverTheorem2) {
-  RunConcurrentRelationScenario(
-      MakeRelationIndex(RelationBackend::kTheorem2, SmallRelOptions()), 71,
-      120);
+  RunRelationScenario(kOneShard, RelationBackend::kTheorem2, 71, 120);
 }
 
 TEST(ServeRelationConcurrent, ReadersOverBaseline) {
-  RunConcurrentRelationScenario(
-      MakeRelationIndex(RelationBackend::kBaseline, SmallRelOptions()), 72,
-      90);
+  RunRelationScenario(kOneShard, RelationBackend::kBaseline, 72, 90);
 }
 
 TEST(ServeRelationConcurrent, ReadersOverGraphView) {
-  RunConcurrentRelationScenario(
-      MakeRelationIndex(RelationBackend::kGraph, SmallRelOptions()), 73, 120);
+  RunRelationScenario(kOneShard, RelationBackend::kGraph, 73, 120);
 }
 
 // The speed tier republishes adjacency-set reps and directory tables far
@@ -285,16 +33,13 @@ TEST(ServeRelationConcurrent, ReadersOverGraphView) {
 // the single-pointer/retire discipline hardest (optimistic readers race the
 // pointer churn; TSan runs this under lock-assisted validation).
 TEST(ServeRelationConcurrent, ReadersOverFastTier) {
-  RunConcurrentRelationScenario(
-      MakeRelationIndex(RelationBackend::kFast, SmallRelOptions()), 74, 150);
+  RunRelationScenario(kOneShard, RelationBackend::kFast, 74, 150);
 }
 
 // A second Theorem 2 run with a different seed: more remove pressure crossing
 // purge/rebuild boundaries under live readers.
 TEST(ServeRelationConcurrent, Theorem2SecondSeed) {
-  RunConcurrentRelationScenario(
-      MakeRelationIndex(RelationBackend::kTheorem2, SmallRelOptions()), 1729,
-      150);
+  RunRelationScenario(kOneShard, RelationBackend::kTheorem2, 1729, 150);
 }
 
 }  // namespace

@@ -1,463 +1,67 @@
-// Concurrent sharded serving: N reader threads hammer fanned-out and
-// single-shard queries on a ShardedIndex / ShardedRelation while one writer
-// applies batches whose per-shard sub-batches run in parallel on the
-// scatter-join pool.
-//
-// Linearizability is checked per *epoch vector*: the whole write schedule is
-// generated up front and split per shard exactly the way the sharded facade
-// splits it, so shard s's state after its e-th touched batch is known before
-// any thread starts. A fanned-out query reports one epoch per shard; its
-// answer must equal the sum/merge of the per-shard expectations at exactly
-// those epochs. Single-shard queries are checked against the owning shard's
-// scalar epoch. Failures collect into a mutex-guarded list (gtest assertions
-// stay on the main thread).
+// Concurrent serving across three shards: the scenarios of
+// serve_concurrent_test (documents) and serve_relation_concurrent_test
+// (relations) at K = 3 (odd: uneven splits and id mapping), so fanned-out
+// queries report one epoch per shard and each batch's per-shard sub-batches
+// run in parallel on the scatter-join pool. Answers are checked per *epoch
+// vector* against the per-shard expectations of
+// tests/serve_concurrent_harness.h.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <mutex>
-#include <set>
-#include <string>
-#include <thread>
-#include <utility>
-#include <vector>
-
-#include "gen/text_gen.h"
-#include "serve/sharded_index.h"
-#include "serve/sharded_relation.h"
-#include "tests/model_checker.h"
-#include "util/rng.h"
+#include "tests/serve_concurrent_harness.h"
 
 namespace dyndex {
 namespace {
 
-constexpr int kReaders = 4;
-constexpr uint32_t kShards = 3;  // odd: uneven splits and id mapping
-constexpr uint32_t kSigma = 4;
-constexpr uint32_t kNumImmortal = 6;
-constexpr uint32_t kNumPatterns = 6;
+using serve_harness::RunDocScenario;
+using serve_harness::RunRelationScenario;
 
-class FailureLog {
- public:
-  void Add(std::string msg) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (failures_.size() < 20) failures_.push_back(std::move(msg));
-  }
-  std::vector<std::string> Take() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return failures_;
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<std::string> failures_;
-};
+constexpr uint32_t kShards = 3;
 
 // ---------------------------------------------------------------------------
 // Documents
 
-struct Batch {
-  bool is_insert = false;
-  std::vector<uint32_t> docs;  // insert: indices into Script::contents
-  std::vector<DocId> erases;   // erase: predicted global ids
-};
-
-struct Script {
-  std::vector<std::vector<Symbol>> contents;  // global id -> symbols (dense
-                                              // sequential minting)
-  std::vector<Batch> batches;
-  std::vector<std::vector<Symbol>> patterns;
-  // expected[s][e][p]: sorted global-id occurrences of patterns[p] within
-  // shard s at shard-epoch e (a shard's epoch moves only when a batch
-  // touches it).
-  std::vector<std::vector<std::vector<std::vector<Occurrence>>>> expected;
-  // Shard-epoch at which each immortal doc (global ids 0..kNumImmortal-1)
-  // becomes visible in its shard.
-  std::vector<uint64_t> immortal_epoch;
-};
-
-Script MakeScript(uint64_t seed, int num_batches) {
-  Script s;
-  Rng rng(seed);
-  auto gen_doc = [&](uint64_t max_len) {
-    s.contents.push_back(UniformText(rng, rng.Range(1, max_len), kSigma));
-    return static_cast<uint32_t>(s.contents.size() - 1);
-  };
-  Batch first;
-  first.is_insert = true;
-  for (uint32_t i = 0; i < kNumImmortal; ++i) first.docs.push_back(gen_doc(50));
-  s.batches.push_back(std::move(first));
-  std::vector<DocId> mortal_live;
-  for (int b = 1; b < num_batches; ++b) {
-    Batch batch;
-    if (b % 2 == 1 || mortal_live.size() < 2) {
-      batch.is_insert = true;
-      uint32_t k = static_cast<uint32_t>(rng.Range(1, 4));
-      for (uint32_t i = 0; i < k; ++i) {
-        batch.docs.push_back(gen_doc(rng.Below(8) == 0 ? 200 : 60));
-        mortal_live.push_back(batch.docs.back());
-      }
-    } else {
-      uint32_t k = static_cast<uint32_t>(rng.Range(1, 2));
-      for (uint32_t i = 0; i < k && !mortal_live.empty(); ++i) {
-        uint64_t pick = rng.Below(mortal_live.size());
-        batch.erases.push_back(mortal_live[pick]);
-        mortal_live.erase(mortal_live.begin() + static_cast<int64_t>(pick));
-      }
-    }
-    s.batches.push_back(std::move(batch));
-  }
-  for (uint32_t p = 0; p < kNumPatterns; ++p) {
-    s.patterns.push_back(
-        SamplePattern(rng, s.contents, rng.Range(1, 4), kSigma));
-  }
-  // Replay the schedule split per shard, exactly as ShardedIndex splits it:
-  // doc j (global insertion order) -> shard j % kShards; erase of global id
-  // g -> shard g % kShards; a shard's epoch moves only on touched batches.
-  std::vector<ReferenceModel> models(kShards);
-  s.expected.resize(kShards);
-  s.immortal_epoch.assign(kNumImmortal, 0);
-  auto snapshot = [&](uint32_t shard) {
-    std::vector<std::vector<Occurrence>> at_epoch(kNumPatterns);
-    for (uint32_t p = 0; p < kNumPatterns; ++p) {
-      at_epoch[p] = models[shard].Find(s.patterns[p]);
-    }
-    s.expected[shard].push_back(std::move(at_epoch));
-  };
-  for (uint32_t shard = 0; shard < kShards; ++shard) snapshot(shard);
-  DocId next_id = 0;
-  for (const Batch& batch : s.batches) {
-    std::vector<bool> touched(kShards, false);
-    for (uint32_t doc : batch.docs) {
-      uint32_t shard = static_cast<uint32_t>(next_id % kShards);
-      models[shard].Insert(next_id, s.contents[doc]);
-      if (next_id < kNumImmortal) {
-        s.immortal_epoch[next_id] = s.expected[shard].size();  // next epoch
-      }
-      ++next_id;
-      touched[shard] = true;
-    }
-    for (DocId id : batch.erases) {
-      uint32_t shard = static_cast<uint32_t>(id % kShards);
-      models[shard].Erase(id);
-      touched[shard] = true;
-    }
-    for (uint32_t shard = 0; shard < kShards; ++shard) {
-      if (touched[shard]) snapshot(shard);
-    }
-  }
-  return s;
+TEST(ServeShardedConcurrent, ReadersDuringThreadedRebuilds) {
+  RunDocScenario(kShards, Backend::kT2, RebuildMode::kThreaded, 42, 90);
 }
 
-void DocReaderLoop(const ShardedIndex& index, const Script& script,
-                   uint64_t seed, const std::atomic<bool>& done,
-                   FailureLog* failures, uint64_t* queries_run) {
-  Rng rng(seed);
-  uint64_t n = 0;
-  while (!done.load(std::memory_order_acquire)) {
-    uint32_t p = static_cast<uint32_t>(rng.Below(kNumPatterns));
-    switch (rng.Below(3)) {
-      case 0: {
-        ShardEpochs eps;
-        auto got = index.Locate(script.patterns[p], &eps);
-        std::sort(got.begin(), got.end());
-        std::vector<Occurrence> want;
-        for (uint32_t shard = 0; shard < kShards; ++shard) {
-          const auto& at = script.expected[shard][eps[shard]][p];
-          want.insert(want.end(), at.begin(), at.end());
-        }
-        std::sort(want.begin(), want.end());
-        if (got != want) {
-          failures->Add("Locate mismatch: pattern " + std::to_string(p) +
-                        ": got " + std::to_string(got.size()) + " occs, want " +
-                        std::to_string(want.size()));
-        }
-        break;
-      }
-      case 1: {
-        ShardEpochs eps;
-        uint64_t got = index.Count(script.patterns[p], &eps);
-        uint64_t want = 0;
-        for (uint32_t shard = 0; shard < kShards; ++shard) {
-          want += script.expected[shard][eps[shard]][p].size();
-        }
-        if (got != want) {
-          failures->Add("Count mismatch: pattern " + std::to_string(p) +
-                        ": got " + std::to_string(got) + ", want " +
-                        std::to_string(want));
-        }
-        break;
-      }
-      default: {
-        DocId id = rng.Below(kNumImmortal);
-        const auto& want = script.contents[id];
-        std::vector<Symbol> got;
-        uint64_t epoch = 0;
-        bool present = index.Extract(id, 0, want.size(), &got, &epoch);
-        if (epoch >= script.immortal_epoch[id]) {
-          if (!present) {
-            failures->Add("Extract: immortal doc " + std::to_string(id) +
-                          " absent at shard epoch " + std::to_string(epoch));
-          } else if (got != want) {
-            failures->Add("Extract mismatch: doc " + std::to_string(id));
-          }
-        }
-        break;
-      }
-    }
-    ++n;
-  }
-  *queries_run = n;
+TEST(ServeShardedConcurrent, ReadersDuringSynchronousRebuilds) {
+  RunDocScenario(kShards, Backend::kT2, RebuildMode::kSynchronous, 43, 90);
 }
 
-void RunShardedDocScenario(Backend backend, RebuildMode mode, uint64_t seed,
-                           int num_batches) {
-  Script script = MakeScript(seed, num_batches);
-  DynamicIndexOptions opt;
-  opt.min_c0 = 64;
-  opt.tau = 4;
-  opt.mode = mode;
-  ShardedIndex index(kShards, backend, opt);
-  FailureLog failures;
-  std::atomic<bool> done{false};
-  std::vector<std::thread> readers;
-  std::vector<uint64_t> query_counts(kReaders, 0);
-  for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back(DocReaderLoop, std::cref(index), std::cref(script),
-                         seed * 1000 + r, std::cref(done), &failures,
-                         &query_counts[r]);
-  }
-  DocId next_id = 0;
-  for (const Batch& batch : script.batches) {
-    if (batch.is_insert) {
-      std::vector<std::vector<Symbol>> docs;
-      for (uint32_t doc : batch.docs) docs.push_back(script.contents[doc]);
-      std::vector<DocId> ids = index.InsertBatch(std::move(docs));
-      for (uint64_t i = 0; i < ids.size(); ++i) {
-        if (ids[i] != next_id + i) {
-          failures.Add("unexpected id " + std::to_string(ids[i]) + " want " +
-                       std::to_string(next_id + i));
-        }
-      }
-      next_id += ids.size();
-    } else {
-      uint64_t erased = index.EraseBatch(batch.erases);
-      if (erased != batch.erases.size()) {
-        failures.Add("EraseBatch erased " + std::to_string(erased) + " of " +
-                     std::to_string(batch.erases.size()));
-      }
-    }
-    index.Poll();
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  done.store(true, std::memory_order_release);
-  for (auto& t : readers) t.join();
-  for (const std::string& f : failures.Take()) ADD_FAILURE() << f;
-  uint64_t total_queries = 0;
-  for (uint64_t c : query_counts) total_queries += c;
-  EXPECT_GT(total_queries, 0u);
-  // Quiesce; the final per-shard epochs must match the touched-batch counts
-  // and the final answers the full merged expectation.
-  index.Flush();
-  ShardEpochs final_epochs = index.epochs();
-  for (uint32_t shard = 0; shard < kShards; ++shard) {
-    ASSERT_EQ(final_epochs[shard] + 1, script.expected[shard].size())
-        << "shard " << shard;
-  }
-  for (uint32_t p = 0; p < kNumPatterns; ++p) {
-    auto got = index.Locate(script.patterns[p]);
-    std::sort(got.begin(), got.end());
-    std::vector<Occurrence> want;
-    for (uint32_t shard = 0; shard < kShards; ++shard) {
-      const auto& at = script.expected[shard].back()[p];
-      want.insert(want.end(), at.begin(), at.end());
-    }
-    std::sort(want.begin(), want.end());
-    EXPECT_EQ(got, want) << "pattern " << p;
-  }
-  index.CheckInvariants();
+TEST(ServeShardedConcurrent, ReadersOverTransformation1) {
+  RunDocScenario(kShards, Backend::kT1, RebuildMode::kSynchronous, 44, 70);
 }
 
-TEST(ServeShardedConcurrent, ReadersDuringParallelThreadedWrites) {
-  RunShardedDocScenario(Backend::kT2, RebuildMode::kThreaded, 52, 80);
+TEST(ServeShardedConcurrent, ReadersOverBaseline) {
+  RunDocScenario(kShards, Backend::kBaseline, RebuildMode::kSynchronous, 45,
+                 70);
 }
 
-TEST(ServeShardedConcurrent, ReadersDuringParallelSynchronousWrites) {
-  RunShardedDocScenario(Backend::kT2, RebuildMode::kSynchronous, 53, 80);
-}
-
-TEST(ServeShardedConcurrent, ReadersOverShardedBaseline) {
-  RunShardedDocScenario(Backend::kBaseline, RebuildMode::kSynchronous, 54, 60);
+TEST(ServeShardedConcurrent, ThreadedRebuildsSecondSeed) {
+  RunDocScenario(kShards, Backend::kT2, RebuildMode::kThreaded, 1337, 110);
 }
 
 // ---------------------------------------------------------------------------
 // Relations
 
-using PairSet = std::set<std::pair<uint32_t, uint32_t>>;
-
-constexpr uint32_t kObjects = 32;
-constexpr uint32_t kLabels = 24;
-
-struct RelBatch {
-  bool is_add = false;
-  RelationPairs pairs;
-};
-
-struct RelScript {
-  std::vector<RelBatch> batches;
-  // snapshots[s][e]: shard s's pair set at shard-epoch e.
-  std::vector<std::vector<PairSet>> snapshots;
-};
-
-RelScript MakeRelScript(const ShardedRelation& rel, uint64_t seed,
-                        int num_batches) {
-  RelScript s;
-  Rng rng(seed);
-  std::vector<PairSet> models(kShards);
-  PairSet all;
-  s.snapshots.assign(kShards, {});
-  for (uint32_t shard = 0; shard < kShards; ++shard) {
-    s.snapshots[shard].push_back({});  // epoch 0: empty
-  }
-  for (int b = 0; b < num_batches; ++b) {
-    RelBatch batch;
-    batch.is_add = b % 3 != 2 || all.size() < 10;
-    std::vector<bool> touched(kShards, false);
-    if (batch.is_add) {
-      uint64_t n = rng.Range(1, 40);
-      for (uint64_t i = 0; i < n; ++i) {
-        uint32_t o = static_cast<uint32_t>(rng.Below(kObjects));
-        uint32_t a = static_cast<uint32_t>(rng.Below(kLabels));
-        batch.pairs.push_back({o, a});
-        uint32_t shard = rel.shard_of_object(o);
-        models[shard].insert({o, a});
-        all.insert({o, a});
-        touched[shard] = true;
-      }
-    } else {
-      uint64_t m = rng.Range(1, std::min<uint64_t>(15, all.size()));
-      for (uint64_t i = 0; i < m && !all.empty(); ++i) {
-        auto it = all.begin();
-        std::advance(it, static_cast<int64_t>(rng.Below(all.size())));
-        batch.pairs.push_back(*it);
-        uint32_t shard = rel.shard_of_object(it->first);
-        models[shard].erase(*it);
-        all.erase(it);
-        touched[shard] = true;
-      }
-    }
-    for (uint32_t shard = 0; shard < kShards; ++shard) {
-      if (touched[shard]) s.snapshots[shard].push_back(models[shard]);
-    }
-    s.batches.push_back(std::move(batch));
-  }
-  return s;
+TEST(ServeShardedConcurrent, RelationReadersOverTheorem2) {
+  RunRelationScenario(kShards, RelationBackend::kTheorem2, 71, 120);
 }
 
-void RelReaderLoop(const ShardedRelation& rel, const RelScript& script,
-                   uint64_t seed, const std::atomic<bool>& done,
-                   FailureLog* failures, uint64_t* queries_run) {
-  Rng rng(seed);
-  uint64_t n = 0;
-  while (!done.load(std::memory_order_acquire)) {
-    switch (rng.Below(3)) {
-      case 0: {
-        // Object-keyed: one shard, scalar epoch.
-        uint32_t o = static_cast<uint32_t>(rng.Below(kObjects));
-        uint32_t shard = rel.shard_of_object(o);
-        uint64_t epoch = 0;
-        std::vector<uint32_t> got = rel.LabelsOf(o, &epoch);
-        std::sort(got.begin(), got.end());
-        std::vector<uint32_t> want;
-        for (const auto& [oo, aa] : script.snapshots[shard][epoch]) {
-          if (oo == o) want.push_back(aa);
-        }
-        if (got != want) {
-          failures->Add("LabelsOf mismatch: o=" + std::to_string(o) +
-                        " at shard epoch " + std::to_string(epoch));
-        }
-        break;
-      }
-      case 1: {
-        // Label-keyed: fan-out, epoch vector.
-        uint32_t a = static_cast<uint32_t>(rng.Below(kLabels));
-        ShardEpochs eps;
-        uint64_t got = rel.CountObjectsOf(a, &eps);
-        uint64_t want = 0;
-        for (uint32_t shard = 0; shard < kShards; ++shard) {
-          for (const auto& [oo, aa] : script.snapshots[shard][eps[shard]]) {
-            want += aa == a;
-          }
-        }
-        if (got != want) {
-          failures->Add("CountObjectsOf mismatch: a=" + std::to_string(a) +
-                        ": got " + std::to_string(got) + ", want " +
-                        std::to_string(want));
-        }
-        break;
-      }
-      default: {
-        ShardEpochs eps;
-        uint64_t got = rel.num_pairs(&eps);
-        uint64_t want = 0;
-        for (uint32_t shard = 0; shard < kShards; ++shard) {
-          want += script.snapshots[shard][eps[shard]].size();
-        }
-        if (got != want) {
-          failures->Add("num_pairs mismatch: got " + std::to_string(got) +
-                        ", want " + std::to_string(want));
-        }
-        break;
-      }
-    }
-    ++n;
-  }
-  *queries_run = n;
+TEST(ServeShardedConcurrent, RelationReadersOverBaseline) {
+  RunRelationScenario(kShards, RelationBackend::kBaseline, 72, 90);
 }
 
-TEST(ServeShardedConcurrent, RelationReadersDuringParallelWrites) {
-  RelationIndexOptions opt;
-  opt.min_c0 = 16;
-  opt.tau = 3;
-  ShardedRelation rel(kShards, RelationBackend::kTheorem2, opt);
-  RelScript script = MakeRelScript(rel, 99, 70);
-  FailureLog failures;
-  std::atomic<bool> done{false};
-  std::vector<std::thread> readers;
-  std::vector<uint64_t> query_counts(kReaders, 0);
-  for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back(RelReaderLoop, std::cref(rel), std::cref(script),
-                         7700 + r, std::cref(done), &failures,
-                         &query_counts[r]);
-  }
-  for (const RelBatch& batch : script.batches) {
-    if (batch.is_add) {
-      rel.AddPairsBatch(batch.pairs);
-    } else {
-      uint64_t removed = rel.RemovePairsBatch(batch.pairs);
-      if (removed != batch.pairs.size()) {
-        failures.Add("RemovePairsBatch removed " + std::to_string(removed) +
-                     " of " + std::to_string(batch.pairs.size()));
-      }
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  done.store(true, std::memory_order_release);
-  for (auto& t : readers) t.join();
-  for (const std::string& f : failures.Take()) ADD_FAILURE() << f;
-  uint64_t total_queries = 0;
-  for (uint64_t c : query_counts) total_queries += c;
-  EXPECT_GT(total_queries, 0u);
-  // Quiesced final state == merged final snapshots.
-  ShardEpochs final_epochs = rel.epochs();
-  uint64_t want_pairs = 0;
-  for (uint32_t shard = 0; shard < kShards; ++shard) {
-    ASSERT_EQ(final_epochs[shard] + 1, script.snapshots[shard].size())
-        << "shard " << shard;
-    want_pairs += script.snapshots[shard].back().size();
-  }
-  ASSERT_EQ(rel.num_pairs(), want_pairs);
-  rel.CheckInvariants();
+TEST(ServeShardedConcurrent, RelationReadersOverGraphView) {
+  RunRelationScenario(kShards, RelationBackend::kGraph, 73, 120);
+}
+
+TEST(ServeShardedConcurrent, RelationReadersOverFastTier) {
+  RunRelationScenario(kShards, RelationBackend::kFast, 74, 150);
+}
+
+TEST(ServeShardedConcurrent, RelationTheorem2SecondSeed) {
+  RunRelationScenario(kShards, RelationBackend::kTheorem2, 1729, 150);
 }
 
 }  // namespace
